@@ -1224,7 +1224,7 @@ runLayerLatency(const ConvLayerDesc &d, const char *tag,
     const BlockedTapWeights bw = blockedTapWeights(w);
     TensorD probeBlocked(blockedShape(probe.shape()));
     nchwToBlocked(probe, probeBlocked);
-    TensorD Vb, Ub, Mb, Yb;
+    TensorD Ub, Mb;
     TensorD outb({batch, bw.coutb, dims.ho, dims.wo, kLayoutBlock});
     const char *engineSave = "winograd-blocked";
     const auto measureBlocked = [&](const std::string &label,
@@ -1235,12 +1235,11 @@ runLayerLatency(const ConvLayerDesc &d, const char *tag,
         return p50;
     };
     const double pBlk = measureBlocked(blkL, [&] {
-        conv2dWinogradBlockedInto(probeBlocked, bw, 1, Vb, Ub, Mb, Yb,
-                                  outb);
+        conv2dWinogradBlockedInto(probeBlocked, bw, 1, Ub, Mb, outb);
     });
     const double pBlkPar = measureBlocked(blkParL, [&] {
-        conv2dWinogradBlockedInto(probeBlocked, bw, 1, Vb, Ub, Mb, Yb,
-                                  outb, &runner);
+        conv2dWinogradBlockedInto(probeBlocked, bw, 1, Ub, Mb, outb,
+                                  &runner);
     });
     pool.shutdown();
     std::printf("layer %-10s [%zux%zu @ %zux%zu, b%zu] p50: naive "

@@ -23,11 +23,24 @@
  *    hardware the blocked product is bit-identical to the NCHW
  *    per-tap GEMM.
  *
- *  - kron: the B^T (x) B^T / A^T (x) A^T row passes over the flat
- *    blocked buffers. Rows are contiguous in either layout; the
- *    explicit kernel vectorizes the AXPY chain with FMA (the first
- *    term a multiply, later terms fused multiply-adds, scalar tail
- *    via std::fma so lane position never changes rounding).
+ *  - winoInput / winoOutput: the fused, tile-local transforms around
+ *    it. The input kernel reads each t x t x 8 tile straight from the
+ *    NCHWc8 activation, applies B^T d B separably (a row pass, then a
+ *    column pass, over the rows of B^T as a sparse plan) and writes
+ *    the t*t tap vectors of U; the output kernel reads the t*t tap
+ *    vectors of M, applies A^T m A the same way plus the fused
+ *    bias/ReLU, and writes the in-range pixels of the output. The
+ *    tile never leaves registers and L1 — there is no V or Y buffer.
+ *    Every term is a multiply (the first of a row) or a fused
+ *    multiply-add, in plan order, so the AVX2 kernels are
+ *    bit-identical to the scalar references.
+ *
+ *  - kron: the B^T (x) B^T / A^T (x) A^T row passes over flat blocked
+ *    buffers — the staged form of the same transforms, kept for the
+ *    int8 engines' FP dequant, the tests' oracle and stage timing.
+ *    The explicit kernel vectorizes the AXPY chain with FMA (the
+ *    first term a multiply, later terms fused multiply-adds, scalar
+ *    tail via std::fma so lane position never changes rounding).
  */
 
 #ifndef TWQ_LAYOUT_KERNELS_HH
@@ -36,8 +49,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 
 #include "common/bits.hh"
+#include "common/logging.hh"
 #include "layout/layout.hh"
 #include "winograd/tiled.hh"
 
@@ -79,6 +94,77 @@ using TapGemmI16Fn = void (*)(const std::int16_t *w,
                               std::size_t coutb, std::size_t cinb,
                               std::size_t P, std::size_t p0,
                               std::size_t pn);
+
+/** Largest transform tile edge (F6: t = 8); sizes kernel staging. */
+inline constexpr std::size_t kMaxWinoT = 8;
+
+/**
+ * Call fn(std::integral_constant<std::size_t, t>{}) for a transform
+ * tile edge t of F2/F4/F6 (4, 6, 8): the vector kernels instantiate
+ * one body per edge so every tile loop has a compile-time trip count.
+ */
+template <typename Fn>
+inline void
+withTileEdge(std::size_t t, Fn fn)
+{
+    switch (t) {
+      case 4:
+        return fn(std::integral_constant<std::size_t, 4>{});
+      case 6:
+        return fn(std::integral_constant<std::size_t, 6>{});
+      case 8:
+        return fn(std::integral_constant<std::size_t, 8>{});
+    }
+    twq_panic("fused winograd kernel: unsupported tile edge ", t);
+}
+
+/**
+ * One row of tiles in one channel-block plane ([h, w, 8]): the unit
+ * of work of the fused transform kernels. Tile i of the row has its
+ * origin at plane coordinates (y0, x0 + i*m). Tap k of tile i lives
+ * at offset k * tapStride + i * 8 of the U / M pointer handed to the
+ * kernel, i.e. the kernel sees the row's slice of a [t*t, Cb, P, 8]
+ * buffer.
+ */
+struct TileRow
+{
+    std::size_t h = 0, w = 0;     ///< plane height / width
+    std::ptrdiff_t y0 = 0;        ///< plane row of the tiles' origin
+    std::ptrdiff_t x0 = 0;        ///< plane column of tile 0's origin
+    std::size_t m = 0;            ///< tile step (output tile edge)
+    std::size_t tiles = 0;        ///< tiles in the row
+    std::size_t tapStride = 0;    ///< elements between taps of U / M
+};
+
+/**
+ * Fused input transform over one row of tiles: for every tile, d is
+ * the t x t window of `plane` (t = bt.rowsIn; pixels outside the
+ * plane read as zero) and U = B^T d B is written as its t*t tap
+ * vectors. `bt` holds the rows of B^T (winoInputSep).
+ */
+using WinoInputDFn = void (*)(const WinoKronPlan<double> &bt,
+                              const TileRow &r, const double *plane,
+                              double *u);
+
+/** Integer counterpart of WinoInputDFn (exact — order-free sums). */
+using WinoInputI32Fn = void (*)(const WinoKronPlan<std::int32_t> &bt,
+                                const TileRow &r,
+                                const std::int32_t *plane,
+                                std::int32_t *u);
+
+/**
+ * Fused output transform over one row of tiles: for every tile, m is
+ * the t x t tile of tap vectors read from `mIn`, Y = A^T m A (`at`
+ * holds the rows of A^T, winoOutputSep), and each in-range pixel of
+ * the m x m result is written to `plane` at (y0 + j1, x0 + i*m + j2)
+ * through the fused epilogue: + bias8[l] when bias8 is non-null
+ * (never + 0.0, which would flip -0.0), then `s < 0 ? 0 : s` when
+ * `relu` — the exact semantics of EpilogueRowDFn.
+ */
+using WinoOutputDFn = void (*)(const WinoKronPlan<double> &at,
+                               const TileRow &r, const double *mIn,
+                               double *plane, const double *bias8,
+                               bool relu);
 
 /** applyKron over rows of length `len` (identical contract). */
 using KronDFn = void (*)(const WinoKronPlan<double> &plan,
@@ -174,12 +260,6 @@ using EpilogueRowDFn = void (*)(const double *src, double *dst,
                                 std::size_t count, const double *bias8,
                                 bool relu);
 
-/** float counterpart of EpilogueRowDFn (the f16 engine's untile). */
-using EpilogueRowFFn = void (*)(const float *src, float *dst,
-                                std::size_t dstStride,
-                                std::size_t count, const float *bias8,
-                                bool relu);
-
 /**
  * The FP dequant scale pass of the quantized blocked pipeline: one
  * (tap, coutb) slice of the GEMM output M scaled per lane,
@@ -206,7 +286,9 @@ struct LayoutKernels
     QuantizeI32Fn quantizeI32 = nullptr;
     QuantizeI8Fn quantizeI8 = nullptr;
     EpilogueRowDFn epilogueRowD = nullptr;
-    EpilogueRowFFn epilogueRowF = nullptr;
+    WinoInputDFn winoInputD = nullptr;
+    WinoInputI32Fn winoInputI32 = nullptr;
+    WinoOutputDFn winoOutputD = nullptr;
     const char *name = "scalar";
 };
 
@@ -346,21 +428,179 @@ epilogueRowRef(const T *src, T *dst, std::size_t dstStride,
     }
 }
 
+/// One term of a sparse transform row: c * x, or c * x + acc. Fused
+/// for floating point (std::fma has float and double overloads), so
+/// a vector kernel issuing one vfmadd per term matches it bit for bit.
+template <typename T>
+inline T
+sepTerm(T c, T x, T acc)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        return std::fma(c, x, acc);
+    else
+        return acc + c * x;
+}
+
+/**
+ * out[j] = sum over the terms of plan row j of coeff * in[term.in],
+ * 8 lanes per vector, for every row j of the plan. `in` and `out`
+ * are arrays of 8-lane vectors strided by inStride / outStride
+ * elements. An empty row writes zeros.
+ */
+template <typename T>
+inline void
+sepPass(const WinoKronPlan<T> &plan, const T *in, std::size_t inStride,
+        T *out, std::size_t outStride)
+{
+    constexpr std::size_t B = kLayoutBlock;
+    for (std::size_t j = 0; j < plan.rowsOut; ++j) {
+        T acc[B] = {};
+        const std::uint32_t begin = plan.rowStart[j];
+        const std::uint32_t end = plan.rowStart[j + 1];
+        if (begin != end) {
+            const auto &t0 = plan.terms[begin];
+            for (std::size_t l = 0; l < B; ++l)
+                acc[l] = t0.coeff * in[t0.in * inStride + l];
+        }
+        for (std::uint32_t ti = begin + 1; ti < end; ++ti) {
+            const auto &term = plan.terms[ti];
+            for (std::size_t l = 0; l < B; ++l)
+                acc[l] = sepTerm(term.coeff, in[term.in * inStride + l],
+                                 acc[l]);
+        }
+        std::copy(acc, acc + B, out + j * outStride);
+    }
+}
+
+/**
+ * Scalar reference of the fused input transform for any element
+ * type: `load` widens one stored element S to the compute type T.
+ * The row pass computes tmp[a] = (d B)[a] for every tile row a, the
+ * column pass U[i][j] = (B^T tmp)[i][j]; the AVX2 kernels run the
+ * identical schedule.
+ */
+template <typename T, typename S, typename Load>
+inline void
+winoInputRef(const WinoKronPlan<T> &bt, const TileRow &r,
+             const S *plane, T *u, Load load)
+{
+    constexpr std::size_t B = kLayoutBlock;
+    const std::size_t t = bt.rowsIn;
+    const auto h = static_cast<std::ptrdiff_t>(r.h);
+    const auto w = static_cast<std::ptrdiff_t>(r.w);
+    T src[kMaxWinoT * B];
+    T tmp[kMaxWinoT * kMaxWinoT * B]; // [a][j][8]
+    T col[kMaxWinoT * B];
+    for (std::size_t i = 0; i < r.tiles; ++i) {
+        const std::ptrdiff_t xs =
+            r.x0 + static_cast<std::ptrdiff_t>(i * r.m);
+        for (std::size_t a = 0; a < t; ++a) {
+            const std::ptrdiff_t y =
+                r.y0 + static_cast<std::ptrdiff_t>(a);
+            for (std::size_t b = 0; b < t; ++b) {
+                const std::ptrdiff_t x =
+                    xs + static_cast<std::ptrdiff_t>(b);
+                const bool in = y >= 0 && y < h && x >= 0 && x < w;
+                for (std::size_t l = 0; l < B; ++l)
+                    src[b * B + l] =
+                        in ? load(plane[(y * w + x) * B + l]) : T{};
+            }
+            sepPass(bt, src, B, tmp + a * t * B, B);
+        }
+        for (std::size_t j = 0; j < t; ++j) {
+            sepPass(bt, tmp + j * B, t * B, col, B);
+            for (std::size_t k = 0; k < t; ++k)
+                std::copy(col + k * B, col + (k + 1) * B,
+                          u + (k * t + j) * r.tapStride + i * B);
+        }
+    }
+}
+
+/**
+ * Scalar reference of the fused output transform: `store` narrows one
+ * compute-type result T into the stored element D.
+ */
+template <typename T, typename D, typename Store>
+inline void
+winoOutputRef(const WinoKronPlan<T> &at, const TileRow &r,
+              const T *mIn, D *plane, const T *bias8, bool relu,
+              Store store)
+{
+    constexpr std::size_t B = kLayoutBlock;
+    const std::size_t t = at.rowsIn;
+    const std::size_t m = at.rowsOut;
+    const std::size_t rows =
+        std::min(m, r.h - static_cast<std::size_t>(r.y0));
+    T src[kMaxWinoT * B];
+    T tmp[kMaxWinoT * kMaxWinoT * B]; // [a][j2][8]
+    T col[kMaxWinoT * B];
+    for (std::size_t i = 0; i < r.tiles; ++i) {
+        const std::size_t x =
+            static_cast<std::size_t>(r.x0) + i * r.m;
+        const std::size_t cols = std::min(m, r.w - x);
+        for (std::size_t a = 0; a < t; ++a) {
+            for (std::size_t b = 0; b < t; ++b)
+                std::copy(mIn + (a * t + b) * r.tapStride + i * B,
+                          mIn + (a * t + b) * r.tapStride + (i + 1) * B,
+                          src + b * B);
+            sepPass(at, src, B, tmp + a * m * B, B);
+        }
+        for (std::size_t j2 = 0; j2 < cols; ++j2) {
+            sepPass(at, tmp + j2 * B, m * B, col, B);
+            for (std::size_t j1 = 0; j1 < rows; ++j1) {
+                D *dst = plane + ((static_cast<std::size_t>(r.y0) + j1) *
+                                      r.w +
+                                  x + j2) *
+                                     B;
+                for (std::size_t l = 0; l < B; ++l) {
+                    T s = col[j1 * B + l];
+                    if (bias8)
+                        s = s + bias8[l];
+                    if (relu)
+                        s = s < T{} ? T{} : s;
+                    dst[l] = store(s);
+                }
+            }
+        }
+    }
+}
+
+/** Scalar reference of the fp64 fused input transform. */
+template <typename Dummy = void>
+static void
+scalarWinoInputD(const WinoKronPlan<double> &bt, const TileRow &r,
+                 const double *plane, double *u)
+{
+    winoInputRef(bt, r, plane, u, [](double v) { return v; });
+}
+
+/** Scalar reference of the integer fused input transform. */
+template <typename Dummy = void>
+static void
+scalarWinoInputI32(const WinoKronPlan<std::int32_t> &bt,
+                   const TileRow &r, const std::int32_t *plane,
+                   std::int32_t *u)
+{
+    winoInputRef(bt, r, plane, u, [](std::int32_t v) { return v; });
+}
+
+/** Scalar reference of the fp64 fused output transform. */
+template <typename Dummy = void>
+static void
+scalarWinoOutputD(const WinoKronPlan<double> &at, const TileRow &r,
+                  const double *mIn, double *plane,
+                  const double *bias8, bool relu)
+{
+    winoOutputRef(at, r, mIn, plane, bias8, relu,
+                  [](double v) { return v; });
+}
+
 /** Scalar reference of the double epilogue row pass. */
 template <typename Dummy = void>
 static void
 scalarEpilogueRowD(const double *src, double *dst,
                    std::size_t dstStride, std::size_t count,
                    const double *bias8, bool relu)
-{
-    epilogueRowRef(src, dst, dstStride, count, bias8, relu);
-}
-
-/** Scalar reference of the float epilogue row pass. */
-template <typename Dummy = void>
-static void
-scalarEpilogueRowF(const float *src, float *dst, std::size_t dstStride,
-                   std::size_t count, const float *bias8, bool relu)
 {
     epilogueRowRef(src, dst, dstStride, count, bias8, relu);
 }

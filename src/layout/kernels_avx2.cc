@@ -468,37 +468,310 @@ avx2EpilogueRowD(const double *src, double *dst, std::size_t dstStride,
     }
 }
 
-/** float counterpart: one ymm covers the whole 8-lane group. */
-void
-avx2EpilogueRowF(const float *src, float *dst, std::size_t dstStride,
-                 std::size_t count, const float *bias8, bool relu)
+using TermD = WinoKronPlan<double>::Term;
+using TermI = WinoKronPlan<std::int32_t>::Term;
+
+/*
+ * The fused transform kernels stage each tile as a contiguous
+ * [t][t][8] block, then run every pass as "for each output index, for
+ * each of its plan terms, update a whole row of vectors": one term
+ * decode feeds up to 2t independent FMA chains held in registers, and
+ * every address is a compile-time offset from the staging base. Each
+ * element still sees its terms in plan order — a multiply for the
+ * first, one FMA per later term — which is the schedule of the scalar
+ * reference (layout::sepPass), so the results match it bit for bit.
+ */
+
+/**
+ * acc[v] = sum over the terms [tb, te) of coeff * (4 doubles at
+ * x + in * STRIDE + (v / 2) * OUTER + (v % 2) * 4), for N vectors:
+ * v / 2 walks the row being transformed, v % 2 the two halves of an
+ * 8-lane block. An empty term range yields zeros.
+ */
+template <std::size_t N, std::size_t STRIDE, std::size_t OUTER>
+inline void
+sepPassD(const TermD *tb, const TermD *te, const double *x,
+         __m256d (&acc)[N])
 {
-    const __m256 z = _mm256_setzero_ps();
-    if (bias8) {
-        const __m256 b = _mm256_loadu_ps(bias8);
-        if (relu) {
-            for (std::size_t i = 0; i < count; ++i)
-                _mm256_storeu_ps(
-                    dst + i * dstStride,
-                    _mm256_max_ps(
-                        z, _mm256_add_ps(_mm256_loadu_ps(src + i * 8),
-                                         b)));
-        } else {
-            for (std::size_t i = 0; i < count; ++i)
-                _mm256_storeu_ps(
-                    dst + i * dstStride,
-                    _mm256_add_ps(_mm256_loadu_ps(src + i * 8), b));
-        }
-    } else if (relu) {
-        for (std::size_t i = 0; i < count; ++i)
-            _mm256_storeu_ps(
-                dst + i * dstStride,
-                _mm256_max_ps(z, _mm256_loadu_ps(src + i * 8)));
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            _mm256_storeu_ps(dst + i * dstStride,
-                             _mm256_loadu_ps(src + i * 8));
+    if (tb == te) {
+        for (std::size_t v = 0; v < N; ++v)
+            acc[v] = _mm256_setzero_pd();
+        return;
     }
+    {
+        const __m256d c = _mm256_broadcast_sd(&tb->coeff);
+        const double *p = x + tb->in * STRIDE;
+        for (std::size_t v = 0; v < N; ++v)
+            acc[v] = _mm256_mul_pd(
+                c, _mm256_loadu_pd(p + (v / 2) * OUTER + (v % 2) * 4));
+    }
+    for (++tb; tb != te; ++tb) {
+        const __m256d c = _mm256_broadcast_sd(&tb->coeff);
+        const double *p = x + tb->in * STRIDE;
+        for (std::size_t v = 0; v < N; ++v)
+            acc[v] = _mm256_fmadd_pd(
+                c, _mm256_loadu_pd(p + (v / 2) * OUTER + (v % 2) * 4),
+                acc[v]);
+    }
+}
+
+/// Vectors per register block: 2t accumulators fit the 16 ymm up to
+/// t = 6; F6 (t = 8) runs each row in two halves.
+constexpr std::size_t
+blockVecs(std::size_t rowVecs)
+{
+    return rowVecs <= 12 ? rowVecs : rowVecs / 2;
+}
+
+/**
+ * One full transform pass over a staged tile: for every output index
+ * o of the plan, out[o][r] = sum over the terms of row o of
+ * coeff * x[in][r] for all R rows r (8 doubles each), with x[in][r] at
+ * x + in * STRIDE + r * OUTER. `store(o, r, lo, hi)` receives each
+ * result vector's two halves.
+ */
+template <std::size_t R, std::size_t STRIDE, std::size_t OUTER,
+          typename Store>
+inline void
+sepTileD(const WinoKronPlan<double> &plan, std::size_t outs,
+         const double *x, Store store)
+{
+    constexpr std::size_t NV = 2 * R;
+    constexpr std::size_t CH = blockVecs(NV);
+    const TermD *terms = plan.terms.data();
+    const std::uint32_t *rs = plan.rowStart.data();
+    for (std::size_t o = 0; o < outs; ++o) {
+        for (std::size_t c0 = 0; c0 < NV; c0 += CH) {
+            __m256d acc[CH];
+            sepPassD<CH, STRIDE, OUTER>(terms + rs[o], terms + rs[o + 1],
+                                        x + (c0 / 2) * OUTER, acc);
+            for (std::size_t v = 0; v < CH; v += 2)
+                store(o, (c0 + v) / 2, acc[v], acc[v + 1]);
+        }
+    }
+}
+
+/**
+ * Copy the t x t window at plane coordinates (y, x) into a contiguous
+ * [t][t][8] stage, zero outside the plane.
+ */
+template <std::size_t T, typename E>
+inline void
+stageTile(const E *plane, std::ptrdiff_t h, std::ptrdiff_t w,
+          std::ptrdiff_t y, std::ptrdiff_t x, E *stage)
+{
+    constexpr std::size_t B = kLayoutBlock;
+    constexpr std::size_t V = 32 / sizeof(E); // elements per ymm
+    const auto tt = static_cast<std::ptrdiff_t>(T);
+    const bool xin = x >= 0 && x + tt <= w;
+    for (std::ptrdiff_t a = 0; a < tt; ++a) {
+        E *dst = stage + a * tt * B;
+        const std::ptrdiff_t yy = y + a;
+        if (yy < 0 || yy >= h) {
+            std::fill(dst, dst + T * B, E{});
+            continue;
+        }
+        const E *row = plane + yy * w * B;
+        if (xin) {
+            const E *src = row + x * B;
+            for (std::size_t e = 0; e < T * B; e += V)
+                _mm256_store_si256(
+                    reinterpret_cast<__m256i *>(dst + e),
+                    _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i *>(src + e)));
+            continue;
+        }
+        for (std::ptrdiff_t b = 0; b < tt; ++b) {
+            const std::ptrdiff_t xx = x + b;
+            if (xx >= 0 && xx < w)
+                std::copy(row + xx * B, row + (xx + 1) * B,
+                          dst + b * B);
+            else
+                std::fill(dst + b * B, dst + (b + 1) * B, E{});
+        }
+    }
+}
+
+/// Fused fp64 input transform for tile edge T (layout::WinoInputDFn).
+template <std::size_t T>
+void
+winoInputTD(const WinoKronPlan<double> &bt, const TileRow &r,
+            const double *plane, double *u)
+{
+    constexpr std::size_t B = kLayoutBlock;
+    alignas(32) double stage[T * T * B]; // d     [a][b][8]
+    alignas(32) double tmp[T * T * B];   // d B   [a][j][8]
+    for (std::size_t i = 0; i < r.tiles; ++i) {
+        stageTile<T>(plane, static_cast<std::ptrdiff_t>(r.h),
+                     static_cast<std::ptrdiff_t>(r.w), r.y0,
+                     r.x0 + static_cast<std::ptrdiff_t>(i * r.m),
+                     stage);
+        // Row pass: tmp[a][j] = sum_b B^T[j][b] d[a][b].
+        sepTileD<T, B, T * B>(
+            bt, T, stage,
+            [&](std::size_t j, std::size_t a, __m256d lo, __m256d hi) {
+                _mm256_store_pd(tmp + (a * T + j) * B, lo);
+                _mm256_store_pd(tmp + (a * T + j) * B + 4, hi);
+            });
+        // Column pass: U[k][j] = sum_a B^T[k][a] tmp[a][j].
+        double *ui = u + i * B;
+        sepTileD<T, T * B, B>(
+            bt, T, tmp,
+            [&](std::size_t k, std::size_t j, __m256d lo, __m256d hi) {
+                double *dst = ui + (k * T + j) * r.tapStride;
+                _mm256_storeu_pd(dst, lo);
+                _mm256_storeu_pd(dst + 4, hi);
+            });
+    }
+}
+
+/// Fused fp64 output transform for tile edge T (layout::WinoOutputDFn).
+template <std::size_t T>
+void
+winoOutputTD(const WinoKronPlan<double> &at, const TileRow &r,
+             const double *mIn, double *plane, const double *bias8,
+             bool relu)
+{
+    constexpr std::size_t B = kLayoutBlock;
+    constexpr std::size_t M = T - 2;
+    alignas(32) double stage[T * T * B]; // m     [a][b][8]
+    alignas(32) double tmp[T * M * B];   // m A   [a][j2][8]
+    const auto y0 = static_cast<std::size_t>(r.y0);
+    const std::size_t rows = std::min(M, r.h - y0);
+    const __m256d z = _mm256_setzero_pd();
+    const __m256d b0 = bias8 ? _mm256_loadu_pd(bias8) : z;
+    const __m256d b1 = bias8 ? _mm256_loadu_pd(bias8 + 4) : z;
+    for (std::size_t i = 0; i < r.tiles; ++i) {
+        for (std::size_t k = 0; k < T * T; ++k) {
+            const double *src = mIn + k * r.tapStride + i * B;
+            _mm256_store_pd(stage + k * B, _mm256_loadu_pd(src));
+            _mm256_store_pd(stage + k * B + 4, _mm256_loadu_pd(src + 4));
+        }
+        // Row pass: tmp[a][j2] = sum_b A^T[j2][b] m[a][b].
+        sepTileD<T, B, T * B>(
+            at, M, stage,
+            [&](std::size_t j2, std::size_t a, __m256d lo, __m256d hi) {
+                _mm256_store_pd(tmp + (a * M + j2) * B, lo);
+                _mm256_store_pd(tmp + (a * M + j2) * B + 4, hi);
+            });
+        // Column pass + epilogue: y[j1][j2] = sum_a A^T[j1][a]
+        // tmp[a][j2]; in-range pixels only.
+        const std::size_t x = static_cast<std::size_t>(r.x0) + i * r.m;
+        const std::size_t cols = std::min(M, r.w - x);
+        sepTileD<M, M * B, B>(
+            at, rows, tmp,
+            [&](std::size_t j1, std::size_t j2, __m256d lo, __m256d hi) {
+                if (j2 >= cols)
+                    return;
+                if (bias8) {
+                    lo = _mm256_add_pd(lo, b0);
+                    hi = _mm256_add_pd(hi, b1);
+                }
+                if (relu) {
+                    lo = _mm256_max_pd(z, lo);
+                    hi = _mm256_max_pd(z, hi);
+                }
+                double *dst = plane + ((y0 + j1) * r.w + x + j2) * B;
+                _mm256_storeu_pd(dst, lo);
+                _mm256_storeu_pd(dst + 4, hi);
+            });
+    }
+}
+
+/**
+ * Integer counterpart of sepPassD: one 8-lane int32 vector per row
+ * entry, +-1 coefficients taking the multiply-free add/sub path like
+ * avx2KronI32. Exact.
+ */
+template <std::size_t N, std::size_t STRIDE, std::size_t OUTER>
+inline void
+sepPassI(const TermI *tb, const TermI *te, const std::int32_t *x,
+         __m256i (&acc)[N])
+{
+    for (std::size_t v = 0; v < N; ++v)
+        acc[v] = _mm256_setzero_si256();
+    for (; tb != te; ++tb) {
+        const std::int32_t *p = x + tb->in * STRIDE;
+        const __m256i c = _mm256_set1_epi32(tb->coeff);
+        for (std::size_t v = 0; v < N; ++v) {
+            const __m256i xv = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(p + v * OUTER));
+            if (tb->coeff == 1)
+                acc[v] = _mm256_add_epi32(acc[v], xv);
+            else if (tb->coeff == -1)
+                acc[v] = _mm256_sub_epi32(acc[v], xv);
+            else
+                acc[v] = _mm256_add_epi32(acc[v],
+                                          _mm256_mullo_epi32(c, xv));
+        }
+    }
+}
+
+/// Integer fused input transform for tile edge T; exact.
+template <std::size_t T>
+void
+winoInputTI32(const WinoKronPlan<std::int32_t> &bt, const TileRow &r,
+              const std::int32_t *plane, std::int32_t *u)
+{
+    constexpr std::size_t B = kLayoutBlock;
+    alignas(32) std::int32_t stage[T * T * B];
+    alignas(32) std::int32_t tmp[T * T * B];
+    const TermI *terms = bt.terms.data();
+    const std::uint32_t *rs = bt.rowStart.data();
+    for (std::size_t i = 0; i < r.tiles; ++i) {
+        stageTile<T>(plane, static_cast<std::ptrdiff_t>(r.h),
+                     static_cast<std::ptrdiff_t>(r.w), r.y0,
+                     r.x0 + static_cast<std::ptrdiff_t>(i * r.m),
+                     stage);
+        for (std::size_t j = 0; j < T; ++j) {
+            __m256i acc[T];
+            sepPassI<T, B, T * B>(terms + rs[j], terms + rs[j + 1],
+                                  stage, acc);
+            for (std::size_t a = 0; a < T; ++a)
+                _mm256_store_si256(
+                    reinterpret_cast<__m256i *>(tmp + (a * T + j) * B),
+                    acc[a]);
+        }
+        for (std::size_t k = 0; k < T; ++k) {
+            __m256i acc[T];
+            sepPassI<T, T * B, B>(terms + rs[k], terms + rs[k + 1], tmp,
+                                  acc);
+            for (std::size_t j = 0; j < T; ++j)
+                _mm256_storeu_si256(
+                    reinterpret_cast<__m256i *>(
+                        u + (k * T + j) * r.tapStride + i * B),
+                    acc[j]);
+        }
+    }
+}
+
+void
+avx2WinoInputD(const WinoKronPlan<double> &bt, const TileRow &r,
+               const double *plane, double *u)
+{
+    withTileEdge(bt.rowsIn, [&](auto t) {
+        winoInputTD<decltype(t)::value>(bt, r, plane, u);
+    });
+}
+
+void
+avx2WinoOutputD(const WinoKronPlan<double> &at, const TileRow &r,
+                const double *mIn, double *plane, const double *bias8,
+                bool relu)
+{
+    withTileEdge(at.rowsIn, [&](auto t) {
+        winoOutputTD<decltype(t)::value>(at, r, mIn, plane, bias8,
+                                         relu);
+    });
+}
+
+void
+avx2WinoInputI32(const WinoKronPlan<std::int32_t> &bt, const TileRow &r,
+                 const std::int32_t *plane, std::int32_t *u)
+{
+    withTileEdge(bt.rowsIn, [&](auto t) {
+        winoInputTI32<decltype(t)::value>(bt, r, plane, u);
+    });
 }
 
 } // namespace
@@ -519,7 +792,9 @@ avx2LayoutKernels()
         k.quantizeI32 = &avx2QuantizeI32;
         k.quantizeI8 = &avx2QuantizeI8;
         k.epilogueRowD = &avx2EpilogueRowD;
-        k.epilogueRowF = &avx2EpilogueRowF;
+        k.winoInputD = &avx2WinoInputD;
+        k.winoInputI32 = &avx2WinoInputI32;
+        k.winoOutputD = &avx2WinoOutputD;
         k.name = "avx2";
         return k;
     }

@@ -17,7 +17,8 @@ softF16Kernels()
     k.widen = &softWiden<>;
     k.narrow = &softNarrow<>;
     k.tapGemm = &softTapGemmF16<>;
-    k.kron = &softKronF<>;
+    k.winoInput = &softWinoInputF16<>;
+    k.winoOutput = &softWinoOutputF16<>;
     k.name = "soft";
     return k;
 }
@@ -34,7 +35,7 @@ resolve()
     F16Kernels k = softF16Kernels();
     for (const F16Kernels &isa :
          {avx2F16Kernels(), neonF16Kernels()}) {
-        if (!isa.widen && !isa.narrow && !isa.tapGemm && !isa.kron)
+        if (!isa.widen && !isa.narrow && !isa.tapGemm)
             continue;
         if (isa.widen)
             k.widen = isa.widen;
@@ -42,8 +43,10 @@ resolve()
             k.narrow = isa.narrow;
         if (isa.tapGemm)
             k.tapGemm = isa.tapGemm;
-        if (isa.kron)
-            k.kron = isa.kron;
+        if (isa.winoInput)
+            k.winoInput = isa.winoInput;
+        if (isa.winoOutput)
+            k.winoOutput = isa.winoOutput;
         k.name = isa.name;
         break;
     }

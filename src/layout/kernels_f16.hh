@@ -5,9 +5,10 @@
  *
  * The fp16 engine stores weights and inter-layer activations as raw
  * half bits (std::uint16_t) in the NCHWc8 blocked layout and computes
- * in fp32: the gather widens halves to floats, the B/A kron passes and
- * the per-tap GEMM run in float, and the untile narrows back to half
- * with round-to-nearest-even. This file provides the conversion and
+ * in fp32: the fused input transform widens halves to floats, the
+ * transforms and the per-tap GEMM run in float, and the fused output
+ * transform narrows back to half with round-to-nearest-even. This
+ * file provides the conversion and
  * float compute kernels behind a runtime-dispatched table mirroring
  * layout/kernels.hh:
  *
@@ -25,8 +26,11 @@
  *    bandwidth in the innermost loop. Accumulation is fused (fmaf in
  *    the scalar path) in ascending input-channel order.
  *
- *  - kron: applyKron over float rows (B^T (x) B^T / A^T (x) A^T row
- *    passes of the float intermediate buffers).
+ *  - winoInput / winoOutput: the fused tile-local transforms of
+ *    layout/kernels.hh in fp32 on half storage — the input kernel
+ *    widens each tile vector once as it is read from the half
+ *    activation, the output kernel narrows each result once (RNE)
+ *    after the fp32 epilogue as it writes the half activation.
  */
 
 #ifndef TWQ_LAYOUT_KERNELS_F16_HH
@@ -36,6 +40,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "layout/kernels.hh"
 #include "layout/layout.hh"
 #include "winograd/tiled.hh"
 
@@ -63,9 +68,23 @@ using TapGemmF16Fn = void (*)(const std::uint16_t *w, const float *u,
                               std::size_t cinb, std::size_t P,
                               std::size_t p0, std::size_t pn);
 
-/** applyKron over float rows of length `len`. */
-using KronFFn = void (*)(const WinoKronPlan<float> &plan,
-                         const float *x, std::size_t len, float *y);
+/**
+ * Fused fp32 input transform on half storage: layout::WinoInputDFn
+ * with every tile element widened from binary16 on load.
+ */
+using WinoInputF16Fn = void (*)(const WinoKronPlan<float> &bt,
+                                const TileRow &r,
+                                const std::uint16_t *plane, float *u);
+
+/**
+ * Fused fp32 output transform on half storage: layout::WinoOutputDFn
+ * with every written pixel narrowed to binary16 (one RNE rounding of
+ * the fp32 epilogue result).
+ */
+using WinoOutputF16Fn = void (*)(const WinoKronPlan<float> &at,
+                                 const TileRow &r, const float *mIn,
+                                 std::uint16_t *plane,
+                                 const float *bias8, bool relu);
 
 /** One ISA's fp16 kernel set; null entries mean "not available". */
 struct F16Kernels
@@ -73,7 +92,8 @@ struct F16Kernels
     HalfWidenFn widen = nullptr;
     HalfNarrowFn narrow = nullptr;
     TapGemmF16Fn tapGemm = nullptr;
-    KronFFn kron = nullptr;
+    WinoInputF16Fn winoInput = nullptr;
+    WinoOutputF16Fn winoOutput = nullptr;
     const char *name = "soft";
 };
 
@@ -229,13 +249,23 @@ softTapGemmF16(const std::uint16_t *w, const float *u, float *m,
     }
 }
 
-/** Scalar reference float kron row pass. */
+/** Scalar reference of the fused half-storage input transform. */
 template <typename Dummy = void>
 static void
-softKronF(const WinoKronPlan<float> &plan, const float *x,
-          std::size_t len, float *y)
+softWinoInputF16(const WinoKronPlan<float> &bt, const TileRow &r,
+                 const std::uint16_t *plane, float *u)
 {
-    applyKron(plan, x, len, y);
+    winoInputRef(bt, r, plane, u, softHalfToFloat);
+}
+
+/** Scalar reference of the fused half-storage output transform. */
+template <typename Dummy = void>
+static void
+softWinoOutputF16(const WinoKronPlan<float> &at, const TileRow &r,
+                  const float *mIn, std::uint16_t *plane,
+                  const float *bias8, bool relu)
+{
+    winoOutputRef(at, r, mIn, plane, bias8, relu, softFloatToHalf);
 }
 
 } // namespace layout

@@ -4,7 +4,7 @@
  * aarch64 carries the IEEE half <-> single conversion instructions in
  * the base ISA (`fcvtl` / `fcvtn` round-to-nearest-even under the
  * default FPCR), so only the bulk conversion pair is provided here;
- * the float tap-GEMM and kron passes keep the portable soft kernels
+ * the float tap-GEMM and fused transforms keep the portable soft kernels
  * (kernels_f16.cc merges per-field).
  */
 

@@ -1,6 +1,7 @@
 #include "layout/wino_blocked.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 #include "layout/kernels.hh"
@@ -67,12 +68,16 @@ kernels()
             k.tapGemmI16 = v.tapGemmI16;
             k.name = v.name;
         }
-        // ISA tables predating the epilogue row kernel (NEON) fall
-        // back to the scalar reference per field.
+        // ISA tables predating the epilogue row and fused transform
+        // kernels (NEON) fall back to the scalar reference per field.
         if (!k.epilogueRowD)
             k.epilogueRowD = &scalarEpilogueRowD<>;
-        if (!k.epilogueRowF)
-            k.epilogueRowF = &scalarEpilogueRowF<>;
+        if (!k.winoInputD)
+            k.winoInputD = &scalarWinoInputD<>;
+        if (!k.winoInputI32)
+            k.winoInputI32 = &scalarWinoInputI32<>;
+        if (!k.winoOutputD)
+            k.winoOutputD = &scalarWinoOutputD<>;
         return k;
     }();
     return t;
@@ -175,62 +180,6 @@ winogradGatherTilesBlocked(const Tensor<T> &input, WinoVariant v,
 }
 
 void
-winogradScatterAddTilesBlocked(const TensorD &V, WinoVariant v,
-                               std::size_t pad, TensorD &grad)
-{
-    const WinoDims d = winoDimsBlocked(grad.shape(), v, pad);
-    const std::size_t cb = grad.dim(1);
-    const std::size_t h = grad.dim(2);
-    const std::size_t w = grad.dim(3);
-    const std::size_t tt = d.t * d.t;
-    twq_assert(V.rank() == 4 && V.dim(0) == tt && V.dim(1) == cb &&
-                   V.dim(2) == d.tiles && V.dim(3) == kB,
-               "tile buffer does not match the gradient geometry");
-    for (std::size_t k = 0; k < tt; ++k) {
-        const std::ptrdiff_t dy =
-            static_cast<std::ptrdiff_t>(k / d.t) -
-            static_cast<std::ptrdiff_t>(pad);
-        const std::ptrdiff_t dx =
-            static_cast<std::ptrdiff_t>(k % d.t) -
-            static_cast<std::ptrdiff_t>(pad);
-        for (std::size_t n = 0; n < d.n; ++n) {
-            for (std::size_t b = 0; b < cb; ++b) {
-                double *plane =
-                    grad.data() + (n * cb + b) * h * w * kB;
-                const double *srcc =
-                    V.data() + ((k * cb + b) * d.tiles +
-                                n * d.tilesY * d.tilesX) *
-                                   kB;
-                for (std::size_t ty = 0; ty < d.tilesY; ++ty) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(ty * d.m) + dy;
-                    if (iy < 0 ||
-                        iy >= static_cast<std::ptrdiff_t>(h))
-                        continue;
-                    double *drow =
-                        plane + static_cast<std::size_t>(iy) * w * kB;
-                    const double *src = srcc + ty * d.tilesX * kB;
-                    for (std::size_t tx = 0; tx < d.tilesX; ++tx) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(tx * d.m) +
-                            dx;
-                        if (ix < 0 ||
-                            ix >= static_cast<std::ptrdiff_t>(w))
-                            continue;
-                        double *dv =
-                            drow +
-                            static_cast<std::size_t>(ix) * kB;
-                        const double *sv = src + tx * kB;
-                        for (std::size_t l = 0; l < kB; ++l)
-                            dv[l] += sv[l];
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
 winogradTapGemmBlocked(const BlockedTapWeights &w, const TensorD &U,
                        TensorD &M, gemm::ParallelRunner *runner)
 {
@@ -265,15 +214,8 @@ epilogueRow(const double *src, double *dst, std::size_t stride,
     table().epilogueRowD(src, dst, stride, count, b8, relu);
 }
 
-inline void
-epilogueRow(const float *src, float *dst, std::size_t stride,
-            std::size_t count, const float *b8, bool relu)
-{
-    table().epilogueRowF(src, dst, stride, count, b8, relu);
-}
-
 /// Integer untiles (the int8 accumulator path) have no SIMD row
-/// kernel; the exact overloads above win for double/float.
+/// kernel; the exact overload above wins for double.
 template <typename T>
 inline void
 epilogueRow(const T *src, T *dst, std::size_t stride,
@@ -343,11 +285,141 @@ winogradUntileBlocked(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
     }
 }
 
+namespace
+{
+
+/**
+ * Run fn(row) for every row in [0, rows), sharded over `runner` in
+ * contiguous chunks. Each tile row of a fused transform writes its
+ * own slice of the destination, so sharding never changes a result.
+ */
+void
+forEachTileRow(gemm::ParallelRunner *runner, std::size_t rows,
+               const std::function<void(std::size_t)> &fn)
+{
+    const std::size_t chunks =
+        runner ? std::min(rows, 2 * runner->lanes()) : 1;
+    gemm::runTasks(runner, chunks, [&](std::size_t c, std::size_t) {
+        for (std::size_t r = rows * c / chunks;
+             r < rows * (c + 1) / chunks; ++r)
+            fn(r);
+    });
+}
+
+/// Drive a fused input kernel over every (image, channel block, tile
+/// row) of the NCHWc8 `input`, writing U [t*t, Cb, P, 8].
+template <typename S, typename T, typename Kernel>
+void
+inputTransform(const Tensor<S> &input, WinoVariant v, std::size_t pad,
+               const WinoKronPlan<T> &bt, Tensor<T> &U,
+               gemm::ParallelRunner *runner, Kernel kernel)
+{
+    const WinoDims d = winoDimsBlocked(input.shape(), v, pad);
+    const std::size_t cb = input.dim(1);
+    const std::size_t h = input.dim(2);
+    const std::size_t w = input.dim(3);
+    const Shape want{d.t * d.t, cb, d.tiles, kB};
+    if (U.shape() != want)
+        U = Tensor<T>(want);
+    forEachTileRow(runner, d.n * cb * d.tilesY, [&](std::size_t row) {
+        const std::size_t ty = row % d.tilesY;
+        const std::size_t b = row / d.tilesY % cb;
+        const std::size_t n = row / d.tilesY / cb;
+        const auto p = static_cast<std::ptrdiff_t>(pad);
+        const auto y0 = static_cast<std::ptrdiff_t>(ty * d.m) - p;
+        const layout::TileRow r{h,   w,        y0, -p,
+                                d.m, d.tilesX, cb * d.tiles * kB};
+        kernel(bt, r, input.data() + (n * cb + b) * h * w * kB,
+               U.data() +
+                   (b * d.tiles + (n * d.tilesY + ty) * d.tilesX) * kB);
+    });
+}
+
+/// Drive a fused output kernel over every (image, channel block, tile
+/// row) of the pre-shaped NCHWc8 `out`, reading M [t*t, Cb, P, 8].
+template <typename T, typename D, typename Kernel>
+void
+outputTransform(const Tensor<T> &M, const WinoKronPlan<T> &at,
+                Tensor<D> &out, const T *bias8, bool relu,
+                gemm::ParallelRunner *runner, Kernel kernel)
+{
+    twq_assert(out.rank() == 5 && out.dim(4) == kB,
+               "the fused output transform expects an NCHWc8 output");
+    const std::size_t m = at.rowsOut;
+    const std::size_t n = out.dim(0);
+    const std::size_t cb = out.dim(1);
+    const std::size_t ho = out.dim(2);
+    const std::size_t wo = out.dim(3);
+    const std::size_t tilesY = (ho + m - 1) / m;
+    const std::size_t tilesX = (wo + m - 1) / m;
+    const std::size_t tiles = n * tilesY * tilesX;
+    twq_assert(M.rank() == 4 && M.dim(0) == at.rowsIn * at.rowsIn &&
+                   M.dim(1) == cb && M.dim(2) == tiles && M.dim(3) == kB,
+               "tap buffer does not match the output geometry");
+    forEachTileRow(runner, n * cb * tilesY, [&](std::size_t row) {
+        const std::size_t ty = row % tilesY;
+        const std::size_t b = row / tilesY % cb;
+        const std::size_t in = row / tilesY / cb;
+        const layout::TileRow r{ho, wo, static_cast<std::ptrdiff_t>(ty * m),
+                                0,  m,  tilesX, cb * tiles * kB};
+        kernel(at, r,
+               M.data() + (b * tiles + (in * tilesY + ty) * tilesX) * kB,
+               out.data() + (in * cb + b) * ho * wo * kB,
+               bias8 ? bias8 + b * kB : nullptr, relu);
+    });
+}
+
+} // namespace
+
+void
+winogradInputTransformBlocked(const TensorD &input, WinoVariant v,
+                              std::size_t pad, TensorD &U,
+                              gemm::ParallelRunner *runner)
+{
+    inputTransform(input, v, pad, winoInputSep<double>(v), U, runner,
+                   table().winoInputD);
+}
+
+void
+winogradInputTransformBlocked(const TensorI32 &input, WinoVariant v,
+                              std::size_t pad, TensorI32 &U,
+                              gemm::ParallelRunner *runner)
+{
+    inputTransform(input, v, pad, winoInputSep<std::int32_t>(v), U,
+                   runner, table().winoInputI32);
+}
+
+void
+winogradInputTransformBlocked(const TensorF16 &input, WinoVariant v,
+                              std::size_t pad, TensorF &U,
+                              gemm::ParallelRunner *runner)
+{
+    inputTransform(input, v, pad, winoInputSep<float>(v), U, runner,
+                   layout::f16Kernels().winoInput);
+}
+
+void
+winogradOutputTransformBlocked(const TensorD &M, WinoVariant v,
+                               TensorD &out, const double *bias8,
+                               bool relu, gemm::ParallelRunner *runner)
+{
+    outputTransform(M, winoOutputSep<double>(v), out, bias8, relu,
+                    runner, table().winoOutputD);
+}
+
+void
+winogradOutputTransformBlocked(const TensorF &M, WinoVariant v,
+                               TensorF16 &out, const float *bias8,
+                               bool relu, gemm::ParallelRunner *runner)
+{
+    outputTransform(M, winoOutputSep<float>(v), out, bias8, relu,
+                    runner, layout::f16Kernels().winoOutput);
+}
+
 void
 conv2dWinogradBlockedInto(const TensorD &input,
                           const BlockedTapWeights &w, std::size_t pad,
-                          TensorD &V, TensorD &U, TensorD &M,
-                          TensorD &Y, TensorD &out,
+                          TensorD &U, TensorD &M, TensorD &out,
                           gemm::ParallelRunner *runner,
                           const double *bias8, bool relu)
 {
@@ -358,22 +430,10 @@ conv2dWinogradBlockedInto(const TensorD &input,
                    out.dim(1) == w.coutb && out.dim(2) == d.ho &&
                    out.dim(3) == d.wo && out.dim(4) == kB,
                "output tensor not pre-shaped for the blocked launch");
-    const std::size_t tt = d.t * d.t;
-    const std::size_t mm = d.m * d.m;
-
     {
-        TWQ_SPAN("winoc8.gather");
-        TWQ_STAGE_PERF("winoc8.gather");
-        winogradGatherTilesBlocked(input, w.variant, pad, V);
-    }
-    {
-        TWQ_SPAN("winoc8.bkron");
-        TWQ_STAGE_PERF("winoc8.bkron");
-        const Shape uWant{tt, w.cinb, d.tiles, kB};
-        if (U.shape() != uWant)
-            U = TensorD(uWant);
-        table().kron(winoInputKron<double>(w.variant), V.data(),
-                     w.cinb * d.tiles * kB, U.data());
+        TWQ_SPAN("winoc8.input");
+        TWQ_STAGE_PERF("winoc8.input");
+        winogradInputTransformBlocked(input, w.variant, pad, U, runner);
     }
     {
         TWQ_SPAN("winoc8.tapgemm");
@@ -381,18 +441,10 @@ conv2dWinogradBlockedInto(const TensorD &input,
         winogradTapGemmBlocked(w, U, M, runner);
     }
     {
-        TWQ_SPAN("winoc8.akron");
-        TWQ_STAGE_PERF("winoc8.akron");
-        const Shape yWant{mm, w.coutb, d.tiles, kB};
-        if (Y.shape() != yWant)
-            Y = TensorD(yWant);
-        table().kron(winoOutputKron<double>(w.variant), M.data(),
-                     w.coutb * d.tiles * kB, Y.data());
-    }
-    {
-        TWQ_SPAN("winoc8.untile");
-        TWQ_STAGE_PERF("winoc8.untile");
-        winogradUntileBlocked(Y, w.variant, out, bias8, relu);
+        TWQ_SPAN("winoc8.output");
+        TWQ_STAGE_PERF("winoc8.output");
+        winogradOutputTransformBlocked(M, w.variant, out, bias8, relu,
+                                       runner);
     }
 }
 
@@ -401,9 +453,9 @@ conv2dWinogradBlocked(const TensorD &input, const BlockedTapWeights &w,
                       std::size_t pad)
 {
     const WinoDims d = winoDimsBlocked(input.shape(), w.variant, pad);
-    TensorD V, U, M, Y;
+    TensorD U, M;
     TensorD out({d.n, w.coutb, d.ho, d.wo, kB});
-    conv2dWinogradBlockedInto(input, w, pad, V, U, M, Y, out);
+    conv2dWinogradBlockedInto(input, w, pad, U, M, out);
     return out;
 }
 
@@ -473,9 +525,8 @@ winogradTapGemmBlockedF16(const BlockedTapWeightsF16 &w,
 void
 conv2dWinogradBlockedF16Into(const TensorF16 &input,
                              const BlockedTapWeightsF16 &w,
-                             std::size_t pad, TensorF16 &V16,
-                             TensorF &V, TensorF &U, TensorF &M,
-                             TensorF &Y, TensorF &outF, TensorF16 &out,
+                             std::size_t pad, TensorF &U, TensorF &M,
+                             TensorF16 &out,
                              gemm::ParallelRunner *runner,
                              const float *bias8, bool relu)
 {
@@ -486,30 +537,10 @@ conv2dWinogradBlockedF16Into(const TensorF16 &input,
                    out.dim(1) == w.coutb && out.dim(2) == d.ho &&
                    out.dim(3) == d.wo && out.dim(4) == kB,
                "output tensor not pre-shaped for the blocked launch");
-    const std::size_t tt = d.t * d.t;
-    const std::size_t mm = d.m * d.m;
-    const layout::F16Kernels &hk = layout::f16Kernels();
-
     {
-        // Tile gather moves raw half bit patterns; the single bulk
-        // widen afterwards is the only storage->compute conversion on
-        // the activation side.
-        TWQ_SPAN("winoc8h.gather");
-        TWQ_STAGE_PERF("winoc8h.gather");
-        winogradGatherTilesBlocked(input, w.variant, pad, V16);
-        const Shape want{tt, w.cinb, d.tiles, kB};
-        if (V.shape() != want)
-            V = TensorF(want);
-        hk.widen(V16.data(), V.data(), V16.numel());
-    }
-    {
-        TWQ_SPAN("winoc8h.bkron");
-        TWQ_STAGE_PERF("winoc8h.bkron");
-        const Shape uWant{tt, w.cinb, d.tiles, kB};
-        if (U.shape() != uWant)
-            U = TensorF(uWant);
-        hk.kron(winoInputKron<float>(w.variant), V.data(),
-                w.cinb * d.tiles * kB, U.data());
+        TWQ_SPAN("winoc8h.input");
+        TWQ_STAGE_PERF("winoc8h.input");
+        winogradInputTransformBlocked(input, w.variant, pad, U, runner);
     }
     {
         TWQ_SPAN("winoc8h.tapgemm");
@@ -517,25 +548,10 @@ conv2dWinogradBlockedF16Into(const TensorF16 &input,
         winogradTapGemmBlockedF16(w, U, M, runner);
     }
     {
-        TWQ_SPAN("winoc8h.akron");
-        TWQ_STAGE_PERF("winoc8h.akron");
-        const Shape yWant{mm, w.coutb, d.tiles, kB};
-        if (Y.shape() != yWant)
-            Y = TensorF(yWant);
-        hk.kron(winoOutputKron<float>(w.variant), M.data(),
-                w.coutb * d.tiles * kB, Y.data());
-    }
-    {
-        // Untile (with the fused fp32 epilogue) into the fp32 staging
-        // plane, then narrow the whole activation in one pass: the
-        // stored half is a single RNE rounding of the epilogue result.
-        TWQ_SPAN("winoc8h.untile");
-        TWQ_STAGE_PERF("winoc8h.untile");
-        const Shape oWant{d.n, w.coutb, d.ho, d.wo, kB};
-        if (outF.shape() != oWant)
-            outF = TensorF(oWant);
-        winogradUntileBlocked(Y, w.variant, outF, bias8, relu);
-        hk.narrow(outF.data(), out.data(), outF.numel());
+        TWQ_SPAN("winoc8h.output");
+        TWQ_STAGE_PERF("winoc8h.output");
+        winogradOutputTransformBlocked(M, w.variant, out, bias8, relu,
+                                       runner);
     }
 }
 
@@ -545,11 +561,10 @@ conv2dWinogradBlockedF16(const TensorF16 &input,
                          const float *bias8, bool relu)
 {
     const WinoDims d = winoDimsBlocked(input.shape(), w.variant, pad);
-    TensorF16 V16;
-    TensorF V, U, M, Y, outF;
+    TensorF U, M;
     TensorF16 out({d.n, w.coutb, d.ho, d.wo, kB});
-    conv2dWinogradBlockedF16Into(input, w, pad, V16, V, U, M, Y, outF,
-                                 out, nullptr, bias8, relu);
+    conv2dWinogradBlockedF16Into(input, w, pad, U, M, out, nullptr,
+                                 bias8, relu);
     return out;
 }
 
@@ -559,14 +574,8 @@ template void winogradGatherTilesBlocked(const Tensor<double> &,
 template void
 winogradGatherTilesBlocked(const Tensor<std::int32_t> &, WinoVariant,
                            std::size_t, Tensor<std::int32_t> &);
-template void
-winogradGatherTilesBlocked(const Tensor<std::uint16_t> &, WinoVariant,
-                           std::size_t, Tensor<std::uint16_t> &);
 template void winogradUntileBlocked(const Tensor<double> &, WinoVariant,
                                     Tensor<double> &, const double *,
-                                    bool);
-template void winogradUntileBlocked(const Tensor<float> &, WinoVariant,
-                                    Tensor<float> &, const float *,
                                     bool);
 template void winogradUntileBlocked(const Tensor<std::int64_t> &,
                                     WinoVariant,

@@ -1,33 +1,41 @@
 /**
  * @file
- * NCHWc8 blocked-layout Winograd execution: the same scatter — per-tap
- * GEMM — gather pipeline as winograd/tiled.hh, re-laid so every hot
- * access is unit stride.
+ * NCHWc8 blocked-layout Winograd execution: the scatter — per-tap
+ * GEMM — gather pipeline of winograd/tiled.hh, re-laid so every hot
+ * access is unit stride and fused so each tile is transformed where
+ * it is read.
  *
- * Buffers carry the 8-channel block as the innermost dimension:
+ * The served path is three stages:
  *
- *   input   [N, Cinb,  H, W, 8]       (layout/layout.hh NCHWc8)
- *   V, U    [t*t, Cinb,  P, 8]        raw / B-transformed tiles
- *   M, Y    [t*t|m*m, Coutb, P, 8]    GEMM output / A-transformed
+ *   input   [N, Cinb, H, W, 8]        (layout/layout.hh NCHWc8)
+ *     -> fused input transform: each t x t x 8 tile is read straight
+ *        from the activation and B^T d B is applied in registers
+ *   U       [t*t, Cinb, P, 8]
+ *     -> per-tap GEMM, the c-block as the SIMD lane dimension
+ *   M       [t*t, Coutb, P, 8]
+ *     -> fused output transform: A^T m A, bias/ReLU epilogue, and a
+ *        write of the in-range pixels
  *   output  [N, Coutb, Ho, Wo, 8]
  *
- * with P = N * tilesY * tilesX. The tile gather and untile then move
- * whole 8-channel vectors between the activation planes and the tile
- * buffers — no per-element `x[((n*C+c)*H+y)*W+x]` addressing — and
- * the per-tap GEMM broadcasts U elements against 8-wide contiguous
- * weight vectors (layout/kernels.hh), with the c-block as the SIMD
- * lane dimension throughout. Kron row passes are identical row AXPYs
- * to the NCHW path, just over blocked rows, dispatched to FMA
- * kernels.
+ * with P = N * tilesY * tilesX. Both transforms apply the rows of
+ * B^T / A^T as sparse plans (winoInputSep / winoOutputSep), a row
+ * pass then a column pass per tile (layout/kernels.hh) — 264 terms
+ * per F4 input tile where the Kronecker form B^T ⊗ B^T has 484 — and
+ * no raw-tile (V) or back-transformed (Y) buffer exists. The staged
+ * functions (winogradGatherTilesBlocked, the kron kernels,
+ * winogradUntileBlocked) remain as the tests' oracle and for stage
+ * timing.
  *
- * Numerics: the per-element accumulation order (ascending input
- * channel, one fused multiply-add each) matches the blocked gemm
- * core, so on FMA hardware the blocked pipeline is bit-identical to
- * the NCHW tiled path per stage up to the kron passes (whose explicit
- * FMA may differ from the autovectorized NCHW transform in the last
- * ulp — tolerance-equal where FMA contracts). Within the blocked
- * path every element's sum is independent of P, so batched execution
- * is bit-identical to sequential.
+ * Numerics: the tap GEMM accumulates each element in ascending input
+ * channel order with one fused multiply-add per term, like the
+ * blocked gemm core, so it is bit-identical to the NCHW per-tap GEMM
+ * on FMA hardware. The fused transforms reassociate the kron's sums
+ * (row then column pass instead of one L ⊗ L row), so fp results
+ * agree with the staged pipeline to rounding, not bit for bit;
+ * integer transforms are exact either way. Every tile is computed the
+ * same way wherever it falls and every element's sum is independent
+ * of P, so batched execution is bit-identical to sequential and
+ * sharded execution to serial.
  */
 
 #ifndef TWQ_LAYOUT_WINO_BLOCKED_HH
@@ -107,21 +115,12 @@ WinoDims winoDimsBlocked(const Shape &s, WinoVariant v,
 /**
  * Blocked counterpart of winogradGatherTiles: copy every (padded)
  * input tile of the NCHWc8 batch into V ([t*t, Cinb, P, 8]) as whole
- * 8-channel vectors. Every element of V is written. The integer
- * instantiations feed the quantized blocked pipeline
- * (quant/int_wino_blocked.hh).
+ * 8-channel vectors. Every element of V is written. The staged
+ * reference of the fused input transform (with the kron kernels).
  */
 template <typename T>
 void winogradGatherTilesBlocked(const Tensor<T> &input, WinoVariant v,
                                 std::size_t pad, Tensor<T> &V);
-
-/**
- * Blocked counterpart of winogradScatterAddTiles: scatter-ADD tile
- * rows of V back into the (padded) NCHWc8 gradient geometry, 8-wide
- * vectors at a time. `grad` must be pre-shaped [N, Cinb, H, W, 8].
- */
-void winogradScatterAddTilesBlocked(const TensorD &V, WinoVariant v,
-                                    std::size_t pad, TensorD &grad);
 
 /**
  * Blocked per-tap GEMM: M[k] = W[k] * U[k] on the c-blocked operands
@@ -138,7 +137,8 @@ void winogradTapGemmBlocked(const BlockedTapWeights &w,
  * Blocked counterpart of winogradUntile: write the A-transformed tile
  * rows Y ([m*m, Coutb, P, 8]) into the NCHWc8 output (edge tiles
  * clipped), 8-wide vectors at a time. `out` must be pre-shaped
- * [N, Coutb, Ho, Wo, 8].
+ * [N, Coutb, Ho, Wo, 8]. The staged reference of the fused output
+ * transform, and the untile of the int8 engine's FP dequant.
  *
  * Optional fused epilogue: a non-null `bias8` ([Coutb*8], tail lanes
  * zero) is added per output lane and `relu` clamps negatives to zero
@@ -152,18 +152,69 @@ void winogradUntileBlocked(const Tensor<T> &Y, WinoVariant v,
                            bool relu = false);
 
 /**
+ * Fused input transform: U ([t*t, Cinb, P, 8], reshaped as needed) =
+ * B^T d B for every tile d of the NCHWc8 `input`, read straight from
+ * the activation — the gather and the B-kron in one pass
+ * (layout::LayoutKernels::winoInputD / winoInputI32). The integer
+ * form equals winogradGatherTilesBlocked + kronI32 exactly; the fp64
+ * form agrees with gather + kron to rounding. Tile rows shard across
+ * `runner` without changing a result.
+ */
+void winogradInputTransformBlocked(const TensorD &input, WinoVariant v,
+                                   std::size_t pad, TensorD &U,
+                                   gemm::ParallelRunner *runner = nullptr);
+void winogradInputTransformBlocked(const TensorI32 &input,
+                                   WinoVariant v, std::size_t pad,
+                                   TensorI32 &U,
+                                   gemm::ParallelRunner *runner = nullptr);
+
+/**
+ * Half-storage fused input transform: the fp32 U of the f16 engine,
+ * each binary16 tile element widened once as it is read
+ * (layout::F16Kernels::winoInput).
+ */
+void winogradInputTransformBlocked(const TensorF16 &input,
+                                   WinoVariant v, std::size_t pad,
+                                   TensorF &U,
+                                   gemm::ParallelRunner *runner = nullptr);
+
+/**
+ * Fused output transform: for every tile m of M ([t*t, Coutb, P, 8]),
+ * A^T m A with the fused epilogue is written to the in-range pixels
+ * of the pre-shaped NCHWc8 `out` ([N, Coutb, Ho, Wo, 8]) — the A-kron
+ * and the untile in one pass. A non-null `bias8` ([Coutb*8], tail
+ * lanes zero) is added per output lane and `relu` clamps negatives to
+ * zero, with exactly the semantics of winogradUntileBlocked's
+ * epilogue.
+ */
+void winogradOutputTransformBlocked(const TensorD &M, WinoVariant v,
+                                    TensorD &out,
+                                    const double *bias8 = nullptr,
+                                    bool relu = false,
+                                    gemm::ParallelRunner *runner = nullptr);
+
+/**
+ * Half-storage fused output transform: the fp32 result and epilogue
+ * of each pixel are narrowed to binary16 once (round-to-nearest-even)
+ * as they are written (layout::F16Kernels::winoOutput).
+ */
+void winogradOutputTransformBlocked(const TensorF &M, WinoVariant v,
+                                    TensorF16 &out,
+                                    const float *bias8 = nullptr,
+                                    bool relu = false,
+                                    gemm::ParallelRunner *runner = nullptr);
+
+/**
  * Full blocked-layout Winograd convolution with caller-provided
- * buffers (e.g. ScratchArena slots), mirroring
- * conv2dWinogradTiledInto: gather, input kron, per-tap GEMM, output
- * kron, untile — all on NCHWc8 operands. `out` must be pre-shaped
- * [N, Coutb, Ho, Wo, 8]; the buffers are reshaped as needed.
- * `bias8` / `relu` are the untile's fused epilogue (see
- * winogradUntileBlocked).
+ * buffers (e.g. ScratchArena slots): fused input transform into U,
+ * per-tap GEMM into M, fused output transform (with the `bias8` /
+ * `relu` epilogue) into `out`. `out` must be pre-shaped
+ * [N, Coutb, Ho, Wo, 8]; U and M are reshaped as needed.
  */
 void conv2dWinogradBlockedInto(const TensorD &input,
                                const BlockedTapWeights &w,
-                               std::size_t pad, TensorD &V, TensorD &U,
-                               TensorD &M, TensorD &Y, TensorD &out,
+                               std::size_t pad, TensorD &U, TensorD &M,
+                               TensorD &out,
                                gemm::ParallelRunner *runner = nullptr,
                                const double *bias8 = nullptr,
                                bool relu = false);
@@ -177,21 +228,22 @@ TensorD conv2dWinogradBlocked(const TensorD &input,
  * Half-storage blocked Winograd convolution: NCHWc8 binary16
  * activations in and out, binary16 weights, all arithmetic in fp32.
  *
- *   input [N, Cinb, H, W, 8] halves  -> gather -> V16 (halves)
- *   V16 -widen-> V (fp32) -B kron-> U -tap GEMM-> M -A kron-> Y
- *   Y -untile+epilogue-> outF (fp32 NCHWc8) -narrow-> out (halves)
+ *   input [N, Cinb, H, W, 8] halves -widen + fused B^T d B-> U (fp32)
+ *   U -tap GEMM-> M (fp32)
+ *   M -fused A^T m A + epilogue + narrow-> out [N, Coutb, Ho, Wo, 8]
  *
- * The fused bias/ReLU epilogue is applied in fp32 before the final
- * narrowing, so the stored half is a single rounding of the exact
- * fp32 epilogue result. `out` must be pre-shaped
- * [N, Coutb, Ho, Wo, 8]; buffers are reshaped as needed.
+ * The fused bias/ReLU epilogue is applied in fp32 before the
+ * narrowing, so each stored half is a single round-to-nearest-even of
+ * the fp32 epilogue result. `out` must be pre-shaped; U and M are
+ * reshaped as needed.
  */
-void conv2dWinogradBlockedF16Into(
-    const TensorF16 &input, const BlockedTapWeightsF16 &w,
-    std::size_t pad, TensorF16 &V16, TensorF &V, TensorF &U,
-    TensorF &M, TensorF &Y, TensorF &outF, TensorF16 &out,
-    gemm::ParallelRunner *runner = nullptr,
-    const float *bias8 = nullptr, bool relu = false);
+void conv2dWinogradBlockedF16Into(const TensorF16 &input,
+                                  const BlockedTapWeightsF16 &w,
+                                  std::size_t pad, TensorF &U,
+                                  TensorF &M, TensorF16 &out,
+                                  gemm::ParallelRunner *runner = nullptr,
+                                  const float *bias8 = nullptr,
+                                  bool relu = false);
 
 /** Convenience wrapper allocating its own buffers. */
 TensorF16 conv2dWinogradBlockedF16(const TensorF16 &input,
@@ -207,17 +259,10 @@ extern template void winogradGatherTilesBlocked(const Tensor<double> &,
 extern template void
 winogradGatherTilesBlocked(const Tensor<std::int32_t> &, WinoVariant,
                            std::size_t, Tensor<std::int32_t> &);
-extern template void
-winogradGatherTilesBlocked(const Tensor<std::uint16_t> &, WinoVariant,
-                           std::size_t, Tensor<std::uint16_t> &);
 extern template void winogradUntileBlocked(const Tensor<double> &,
                                            WinoVariant,
                                            Tensor<double> &,
                                            const double *, bool);
-extern template void winogradUntileBlocked(const Tensor<float> &,
-                                           WinoVariant,
-                                           Tensor<float> &,
-                                           const float *, bool);
 extern template void
 winogradUntileBlocked(const Tensor<std::int64_t> &, WinoVariant,
                       Tensor<std::int64_t> &, const std::int64_t *,

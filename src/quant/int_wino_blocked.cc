@@ -134,9 +134,9 @@ BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
 
 void
 BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
-                                TensorI32 &xq, TensorI32 &V,
-                                TensorI32 &U32, TensorI16 &U16,
-                                TensorI8 &U8, TensorI32 &M,
+                                TensorI32 &xq, TensorI32 &U32,
+                                TensorI16 &U16, TensorI8 &U8,
+                                TensorI32 &M,
                                 gemm::ParallelRunner *runner) const
 {
     const IntWinogradConfig &cfg = conv_->config();
@@ -171,25 +171,17 @@ BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
         }
     }
 
-    // Blocked tile gather, then the exact integer B-transform as
-    // Kronecker row passes over the blocked rows, then the tap-wise
-    // requantization narrowing into the int16 GEMM operand.
+    // The exact integer B-transform, fused with the tile gather (each
+    // tile read straight from xq), then the tap-wise requantization
+    // narrowing into the GEMM operand.
     {
-        TWQ_SPAN("winoc8i.gather");
-        TWQ_STAGE_PERF("winoc8i.gather");
-        winogradGatherTilesBlocked(xq, cfg.variant, cfg.pad, V);
+        TWQ_SPAN("winoc8i.input");
+        TWQ_STAGE_PERF("winoc8i.input");
+        winogradInputTransformBlocked(xq, cfg.variant, cfg.pad, U32,
+                                      runner);
     }
     const Shape ushape{tt, cinb_, d.tiles, kB};
-    if (U32.shape() != ushape)
-        U32 = TensorI32(ushape);
     const std::size_t rowLen = cinb_ * d.tiles * kB;
-    {
-        TWQ_SPAN("winoc8i.bkron");
-        TWQ_STAGE_PERF("winoc8i.bkron");
-        layout::kernels().kronI32(
-            winoInputKron<std::int32_t>(cfg.variant), V.data(),
-            rowLen, U32.data());
-    }
     const MatrixD &sb = conv_->inputTapScale();
     if (use8_) {
         TWQ_SPAN("winoc8i.requant");
@@ -291,10 +283,9 @@ BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
 
 void
 BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
-                                TensorI32 &V, TensorI32 &U32,
-                                TensorI16 &U16, TensorI8 &U8,
-                                TensorI32 &M, TensorD &Md, TensorD &Y,
-                                TensorD &out,
+                                TensorI32 &U32, TensorI16 &U16,
+                                TensorI8 &U8, TensorI32 &M,
+                                TensorD &Md, TensorD &Y, TensorD &out,
                                 gemm::ParallelRunner *runner,
                                 const double *bias8, bool relu) const
 {
@@ -311,8 +302,8 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
     // exactly for power-of-two scales; shifts are integer-only and
     // markedly cheaper, so the FP path takes them whenever the
     // config allows.
-    scatterGemm(input, /*useShifts=*/cfg.pow2Scales, xq, V, U32, U16,
-                U8, M, runner);
+    scatterGemm(input, /*useShifts=*/cfg.pow2Scales, xq, U32, U16, U8,
+                M, runner);
 
     // Dequant gather, vectorized blocked form: the tap-wise S_BG
     // rescale (sx folded in) as one per-lane scale vector over each
@@ -356,12 +347,12 @@ BlockedIntWinograd::forward(const TensorD &input) const
     const IntWinogradConfig &cfg = conv_->config();
     const WinoDims d =
         winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
-    TensorI32 xq, V, U32, M;
+    TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
     TensorD Md, Y;
     TensorD out({d.n, coutb_, d.ho, d.wo, kB});
-    forwardInto(input, xq, V, U32, U16, U8, M, Md, Y, out);
+    forwardInto(input, xq, U32, U16, U8, M, Md, Y, out);
     return out;
 }
 
@@ -382,10 +373,10 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
     // Pass 1: blocked integer pipeline into a blocked int64 spatial
     // output. This is the oracle-parity path, not the serving hot
     // path, so the buffers are local.
-    TensorI32 xq, V, U32, M;
+    TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
-    scatterGemm(input, /*useShifts=*/true, xq, V, U32, U16, U8, M,
+    scatterGemm(input, /*useShifts=*/true, xq, U32, U16, U8, M,
                 nullptr);
 
     // S_BG rescale as pure left-shifts relative to the channel's

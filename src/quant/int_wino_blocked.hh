@@ -10,10 +10,12 @@
  *
  *   quantize  blocked f64 input -> int32 xq, elementwise (padded
  *             lanes quantize 0 -> 0, so they stay invisible)
- *   gather    blocked tiles into V [t*t, Cinb, P, 8] (8-wide vector
- *             moves, winogradGatherTilesBlocked<int32>)
- *   kron      exact integer B^T (x) B^T row passes over the blocked
- *             rows (applyKron<int32>)
+ *   input     the fused integer input transform: each t x t x 8 tile
+ *             read straight from xq, exact B^T d B applied separably,
+ *             the t*t tap vectors written to U32 [t*t, Cinb, P, 8]
+ *             (winogradInputTransformBlocked — no raw-tile buffer;
+ *             integer sums are exact, so U32 equals the staged
+ *             gather + B^T (x) B^T kron bit for bit)
  *   rescale   the per-tap S_B requantization, clamped to
  *             `winogradBits` — which always fits int16, so the GEMM
  *             operand narrows to U16 [t*t, Cinb, P, 8]
@@ -30,14 +32,15 @@
  * Every integer stage computes the same order-free sums as the NCHW
  * pipeline, so forwardInt8 is bit-identical to forwardInt8Reference
  * (modulo the NCHWc8 layout of the returned tensors). The FP dequant
- * of forwardInto runs the vectorized blocked form — per-lane fused
+ * of forwardInto deliberately keeps the staged row-pass form rather
+ * than the fused output transform of the fp64 engine — per-lane fused
  * S_BG * s_x scaling, Kronecker row passes through the dispatched
- * kron kernel, blocked untile. The NCHW engine's gather is specified
- * in the same row-pass order over the same fused scales and the same
- * dispatched kernel, so the blocked FP dequant is bit-identical to
- * the NCHW engine (modulo layout), not merely tolerance-equal; its
- * result is deterministic and independent of batch size and
- * sharding. Overflow is excluded by construction:
+ * kron kernel, blocked untile — because the NCHW engine's gather is
+ * specified in the same row-pass order over the same fused scales and
+ * the same dispatched kernel: the blocked FP dequant is therefore
+ * bit-identical to the NCHW engine (modulo layout), not merely
+ * tolerance-equal; its result is deterministic and independent of
+ * batch size and sharding. Overflow is excluded by construction:
  * operands are bounded by 2^(winogradBits-1) <= 2^9, so int32
  * accumulation over cinb*8 channels is wrap-free for any channel
  * count the constructor accepts (asserted).
@@ -80,7 +83,7 @@ class BlockedIntWinograd
      * `bias8` ([Coutb*8], tail lanes zero) and `relu` are the fused
      * FP epilogue of the blocked untile (winogradUntileBlocked).
      */
-    void forwardInto(const TensorD &input, TensorI32 &xq, TensorI32 &V,
+    void forwardInto(const TensorD &input, TensorI32 &xq,
                      TensorI32 &U32, TensorI16 &U16, TensorI8 &U8,
                      TensorI32 &M, TensorD &Md, TensorD &Y,
                      TensorD &out,
@@ -108,14 +111,15 @@ class BlockedIntWinograd
     const IntWinogradConfig &config() const { return conv_->config(); }
 
   private:
-    /// Stages shared by both forward paths: quantize, gather, kron,
-    /// S_B rescale (shift- or round-based), widening per-tap GEMM.
+    /// Stages shared by both forward paths: quantize, fused input
+    /// transform, S_B rescale (shift- or round-based), widening
+    /// per-tap GEMM.
     /// With the u8 kernel engaged (8-bit operands on a VNNI host)
     /// the rescale emits the biased-u8 operand into U8 and U16 stays
     /// untouched; otherwise the int16 path runs.
     void scatterGemm(const TensorD &input, bool useShifts,
-                     TensorI32 &xq, TensorI32 &V, TensorI32 &U32,
-                     TensorI16 &U16, TensorI8 &U8, TensorI32 &M,
+                     TensorI32 &xq, TensorI32 &U32, TensorI16 &U16,
+                     TensorI8 &U8, TensorI32 &M,
                      gemm::ParallelRunner *runner) const;
 
     const IntWinogradConv *conv_;

@@ -337,10 +337,8 @@ struct WinogradBlockedPrepared : PreparedLayer
     /// c-blocked tap weights feeding the NCHWc8 per-tap kernel.
     BlockedTapWeights weights;
     std::size_t pad = 1;
-    ScratchArena::Slot tiles = 0;   ///< V raw-tile slot
     ScratchArena::Slot scatter = 0; ///< U buffer slot
     ScratchArena::Slot gemm = 0;    ///< M buffer slot
-    ScratchArena::Slot back = 0;    ///< Y back-transform slot
     std::vector<double> bias8;      ///< per-lane bias [coutb*8]; empty = none
     bool relu = false;
 };
@@ -390,10 +388,8 @@ class WinogradBlockedBackend : public ConvBackend
         prep->weights = blockedTapWeights(
             winogradPrepareTapWeights(weights, build.variant));
         prep->pad = build.params.pad;
-        prep->tiles = layerSlot("winoc8.V", desc.name);
         prep->scatter = layerSlot("winoc8.U", desc.name);
         prep->gemm = layerSlot("winoc8.M", desc.name);
-        prep->back = layerSlot("winoc8.Y", desc.name);
         prep->bias8 = blockedBias<double>(
             epilogueBias(build.epilogue, desc));
         prep->relu = build.epilogue.relu;
@@ -425,15 +421,10 @@ class WinogradBlockedBackend : public ConvBackend
              input.dim(3)},
             p.weights.variant, p.pad);
         const std::size_t tt = d.t * d.t;
-        TensorD &V = scratch.tensor(
-            p.tiles, {tt, p.weights.cinb, d.tiles, kLayoutBlock});
         TensorD &U = scratch.tensor(
             p.scatter, {tt, p.weights.cinb, d.tiles, kLayoutBlock});
         TensorD &M = scratch.tensor(
             p.gemm, {tt, p.weights.coutb, d.tiles, kLayoutBlock});
-        TensorD &Y = scratch.tensor(
-            p.back,
-            {d.m * d.m, p.weights.coutb, d.tiles, kLayoutBlock});
         // Physical MACs: the padded lanes compute too.
         const double macs =
             static_cast<double>(tt) *
@@ -441,8 +432,7 @@ class WinogradBlockedBackend : public ConvBackend
             static_cast<double>(p.weights.cinb * kLayoutBlock) *
             static_cast<double>(d.tiles);
         conv2dWinogradBlockedInto(
-            input, p.weights, p.pad, V, U, M, Y, out,
-            ctx.runnerFor(macs),
+            input, p.weights, p.pad, U, M, out, ctx.runnerFor(macs),
             p.bias8.empty() ? nullptr : p.bias8.data(), p.relu);
     }
 };
@@ -458,7 +448,6 @@ struct WinogradBlockedInt8Prepared : PreparedLayer
     /// `conv`, so declaration order matters.
     std::unique_ptr<BlockedIntWinograd> blocked;
     ScratchArena::Slot quantized = 0; ///< int32 blocked-input slot
-    ScratchArena::Slot tiles = 0;     ///< int32 raw-tile slot
     ScratchArena::Slot scatter = 0;   ///< int32 B-transformed slot
     ScratchArena::Slot narrowed = 0;  ///< int16 GEMM-operand slot
     ScratchArena::Slot narrowed8 = 0; ///< biased-u8 GEMM-operand slot
@@ -524,7 +513,6 @@ class WinogradBlockedInt8Backend : public ConvBackend
         prep->blocked =
             std::make_unique<BlockedIntWinograd>(*prep->conv);
         prep->quantized = layerSlot("winoc8i.xq", desc.name);
-        prep->tiles = layerSlot("winoc8i.V", desc.name);
         prep->scatter = layerSlot("winoc8i.U32", desc.name);
         prep->narrowed = layerSlot("winoc8i.U16", desc.name);
         prep->narrowed8 = layerSlot("winoc8i.U8", desc.name);
@@ -565,7 +553,6 @@ class WinogradBlockedInt8Backend : public ConvBackend
         TensorI32 &xq = scratch.tensorI32(p.quantized, input.shape());
         const Shape ushape{tt, p.blocked->cinb(), d.tiles,
                            kLayoutBlock};
-        TensorI32 &V = scratch.tensorI32(p.tiles, ushape);
         TensorI32 &U32 = scratch.tensorI32(p.scatter, ushape);
         TensorI16 &U16 = scratch.tensorI16(p.narrowed, ushape);
         TensorI8 &U8 = scratch.tensorI8(p.narrowed8, ushape);
@@ -585,7 +572,7 @@ class WinogradBlockedInt8Backend : public ConvBackend
             static_cast<double>(p.blocked->cinb() * kLayoutBlock) *
             static_cast<double>(d.tiles);
         p.blocked->forwardInto(
-            input, xq, V, U32, U16, U8, M, Md, Y, out,
+            input, xq, U32, U16, U8, M, Md, Y, out,
             ctx.runnerFor(macs),
             p.bias8.empty() ? nullptr : p.bias8.data(), p.relu);
     }
@@ -598,12 +585,8 @@ struct WinogradBlockedF16Prepared : PreparedLayer
     /// c-blocked tap weights narrowed to binary16 storage.
     BlockedTapWeightsF16 weights;
     std::size_t pad = 1;
-    ScratchArena::Slot tiles16 = 0; ///< V16 half raw-tile slot
-    ScratchArena::Slot tiles = 0;   ///< V fp32 widened-tile slot
     ScratchArena::Slot scatter = 0; ///< U fp32 buffer slot
     ScratchArena::Slot gemm = 0;    ///< M fp32 buffer slot
-    ScratchArena::Slot back = 0;    ///< Y fp32 back-transform slot
-    ScratchArena::Slot outf = 0;    ///< fp32 pre-narrow output slot
     ScratchArena::Slot inHalf = 0;  ///< half input slot (run() seam)
     ScratchArena::Slot outHalf = 0; ///< half output slot (run() seam)
     std::vector<float> bias8; ///< per-lane bias [coutb*8]; empty = none
@@ -661,12 +644,8 @@ class WinogradBlockedF16Backend : public ConvBackend
         prep->weights = blockedTapWeightsF16(
             winogradPrepareTapWeights(weights, build.variant));
         prep->pad = build.params.pad;
-        prep->tiles16 = layerSlot("winoc8h.V16", desc.name);
-        prep->tiles = layerSlot("winoc8h.V", desc.name);
         prep->scatter = layerSlot("winoc8h.U", desc.name);
         prep->gemm = layerSlot("winoc8h.M", desc.name);
-        prep->back = layerSlot("winoc8h.Y", desc.name);
-        prep->outf = layerSlot("winoc8h.outF", desc.name);
         prep->inHalf = layerSlot("winoc8h.xh", desc.name);
         prep->outHalf = layerSlot("winoc8h.yh", desc.name);
         prep->bias8 = blockedBias<float>(
@@ -699,16 +678,10 @@ class WinogradBlockedF16Backend : public ConvBackend
         const WinoDims d = winoDimsBlocked(
             input.shape(), p.weights.variant, p.pad);
         const std::size_t tt = d.t * d.t;
-        const Shape vshape{tt, p.weights.cinb, d.tiles, kLayoutBlock};
-        TensorF16 &V16 = scratch.tensorF16(p.tiles16, vshape);
-        TensorF &V = scratch.tensorF(p.tiles, vshape);
-        TensorF &U = scratch.tensorF(p.scatter, vshape);
+        TensorF &U = scratch.tensorF(
+            p.scatter, {tt, p.weights.cinb, d.tiles, kLayoutBlock});
         TensorF &M = scratch.tensorF(
             p.gemm, {tt, p.weights.coutb, d.tiles, kLayoutBlock});
-        TensorF &Y = scratch.tensorF(
-            p.back,
-            {d.m * d.m, p.weights.coutb, d.tiles, kLayoutBlock});
-        TensorF &outF = scratch.tensorF(p.outf, out.shape());
         // Physical MACs: the padded lanes compute too.
         const double macs =
             static_cast<double>(tt) *
@@ -716,8 +689,7 @@ class WinogradBlockedF16Backend : public ConvBackend
             static_cast<double>(p.weights.cinb * kLayoutBlock) *
             static_cast<double>(d.tiles);
         conv2dWinogradBlockedF16Into(
-            input, p.weights, p.pad, V16, V, U, M, Y, outF, out,
-            ctx.runnerFor(macs),
+            input, p.weights, p.pad, U, M, out, ctx.runnerFor(macs),
             p.bias8.empty() ? nullptr : p.bias8.data(), p.relu);
     }
 

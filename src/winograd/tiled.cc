@@ -149,6 +149,80 @@ makeKronPlan(const Matrix<Rational> &l)
     return plan;
 }
 
+namespace
+{
+
+/// The rows of L as a sparse plan: the separable half of makeKronPlan.
+template <typename T>
+WinoKronPlan<T>
+makeSepPlan(const Matrix<Rational> &l)
+{
+    WinoKronPlan<T> plan;
+    plan.rowsOut = l.rows();
+    plan.rowsIn = l.cols();
+    plan.rowStart.reserve(plan.rowsOut + 1);
+    plan.rowStart.push_back(0);
+    for (std::size_t i = 0; i < l.rows(); ++i) {
+        for (std::size_t k = 0; k < l.cols(); ++k) {
+            const Rational c = l(i, k);
+            if (c == Rational(0))
+                continue;
+            if constexpr (std::is_integral_v<T>)
+                twq_assert(c.den() == 1, "integer separable plan needs "
+                                         "an integer transform matrix");
+            plan.terms.push_back({static_cast<std::uint16_t>(k),
+                                  static_cast<T>(c.toDouble())});
+        }
+        plan.rowStart.push_back(
+            static_cast<std::uint32_t>(plan.terms.size()));
+    }
+    return plan;
+}
+
+/// The cached separable plan of variant V's B^T (Input) or A^T.
+template <typename T, WinoVariant V, bool Input>
+const WinoKronPlan<T> &
+sepPlan()
+{
+    static const WinoKronPlan<T> plan =
+        makeSepPlan<T>(Input ? winoBT(V) : winoAT(V));
+    return plan;
+}
+
+} // namespace
+
+template <typename T>
+const WinoKronPlan<T> &
+winoInputSep(WinoVariant v)
+{
+    // Lazy per-variant statics, like the kron plans below: the F6
+    // plan only exists for FP T.
+    switch (v) {
+      case WinoVariant::F2:
+        return sepPlan<T, WinoVariant::F2, true>();
+      case WinoVariant::F4:
+        return sepPlan<T, WinoVariant::F4, true>();
+      case WinoVariant::F6:
+        return sepPlan<T, WinoVariant::F6, true>();
+    }
+    twq_panic("unknown WinoVariant");
+}
+
+template <typename T>
+const WinoKronPlan<T> &
+winoOutputSep(WinoVariant v)
+{
+    switch (v) {
+      case WinoVariant::F2:
+        return sepPlan<T, WinoVariant::F2, false>();
+      case WinoVariant::F4:
+        return sepPlan<T, WinoVariant::F4, false>();
+      case WinoVariant::F6:
+        return sepPlan<T, WinoVariant::F6, false>();
+    }
+    twq_panic("unknown WinoVariant");
+}
+
 template <typename T>
 const WinoKronPlan<T> &
 winoInputKron(WinoVariant v)
@@ -584,6 +658,11 @@ template WinoKronPlan<std::int32_t>
 makeKronPlan(const Matrix<Rational> &);
 template WinoKronPlan<std::int64_t>
 makeKronPlan(const Matrix<Rational> &);
+template const WinoKronPlan<float> &winoInputSep(WinoVariant);
+template const WinoKronPlan<double> &winoInputSep(WinoVariant);
+template const WinoKronPlan<std::int32_t> &winoInputSep(WinoVariant);
+template const WinoKronPlan<float> &winoOutputSep(WinoVariant);
+template const WinoKronPlan<double> &winoOutputSep(WinoVariant);
 template const WinoKronPlan<float> &winoInputKron(WinoVariant);
 template const WinoKronPlan<double> &winoInputKron(WinoVariant);
 template const WinoKronPlan<std::int32_t> &winoInputKron(WinoVariant);

@@ -121,6 +121,21 @@ struct WinoKronPlan
 template <typename T>
 WinoKronPlan<T> makeKronPlan(const Matrix<Rational> &l);
 
+/**
+ * Cached rows of B^T (separable input transform) for a variant: the
+ * plan of L = B^T itself rather than L ⊗ L (rowsOut = L.rows(),
+ * rowsIn = L.cols()). A tile-local kernel applies L s L^T as two
+ * passes of this plan — one over the rows of the tile s, one over its
+ * columns — so an F4 input tile costs 2 * 6 * 22 = 264 terms where
+ * B^T ⊗ B^T has 22 * 22 = 484.
+ */
+template <typename T>
+const WinoKronPlan<T> &winoInputSep(WinoVariant v);
+
+/** Cached rows of A^T (separable output transform) for a variant. */
+template <typename T>
+const WinoKronPlan<T> &winoOutputSep(WinoVariant v);
+
 /** Cached B^T ⊗ B^T (input transform) for a variant. */
 template <typename T>
 const WinoKronPlan<T> &winoInputKron(WinoVariant v);
@@ -341,6 +356,12 @@ extern template WinoKronPlan<std::int32_t>
 makeKronPlan(const Matrix<Rational> &);
 extern template WinoKronPlan<std::int64_t>
 makeKronPlan(const Matrix<Rational> &);
+extern template const WinoKronPlan<float> &winoInputSep(WinoVariant);
+extern template const WinoKronPlan<double> &winoInputSep(WinoVariant);
+extern template const WinoKronPlan<std::int32_t> &
+winoInputSep(WinoVariant);
+extern template const WinoKronPlan<float> &winoOutputSep(WinoVariant);
+extern template const WinoKronPlan<double> &winoOutputSep(WinoVariant);
 extern template const WinoKronPlan<float> &winoInputKron(WinoVariant);
 extern template const WinoKronPlan<double> &winoInputKron(WinoVariant);
 extern template const WinoKronPlan<std::int32_t> &

@@ -143,7 +143,7 @@ TEST_P(BlockedIntWino, ReusedBuffersAreStableAcrossBatchChanges)
     const IntWinogradConv conv(w, cal, cfg);
     const BlockedIntWinograd blk(conv);
 
-    TensorI32 xq, V, U32, M;
+    TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
     TensorD Md, Y;
@@ -157,7 +157,7 @@ TEST_P(BlockedIntWino, ReusedBuffersAreStableAcrossBatchChanges)
         const ConvParams p{3, 1, cfg.pad};
         TensorD out({x->dim(0), blk.coutb(), p.outSize(x->dim(2)),
                      p.outSize(x->dim(3)), kLayoutBlock});
-        blk.forwardInto(xb, xq, V, U32, U16, U8, M, Md, Y, out);
+        blk.forwardInto(xb, xq, U32, U16, U8, M, Md, Y, out);
         const TensorD expect = blk.forward(xb);
         ASSERT_EQ(out.shape(), expect.shape());
         for (std::size_t i = 0; i < out.numel(); ++i)
@@ -182,7 +182,7 @@ TEST_P(BlockedIntWino, ShardedTapGemmIsBitIdenticalToSerial)
 
     ThreadPool pool(5);
     PoolRunner runner(pool, pool.size());
-    TensorI32 xq, V, U32, M;
+    TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
     TensorD Md, Y;
@@ -190,8 +190,8 @@ TEST_P(BlockedIntWino, ShardedTapGemmIsBitIdenticalToSerial)
     TensorD serial({big[0], blk.coutb(), p.outSize(big[2]),
                     p.outSize(big[3]), kLayoutBlock});
     TensorD parallel(serial.shape());
-    blk.forwardInto(xb, xq, V, U32, U16, U8, M, Md, Y, serial);
-    blk.forwardInto(xb, xq, V, U32, U16, U8, M, Md, Y, parallel,
+    blk.forwardInto(xb, xq, U32, U16, U8, M, Md, Y, serial);
+    blk.forwardInto(xb, xq, U32, U16, U8, M, Md, Y, parallel,
                     &runner);
     pool.shutdown();
     EXPECT_TRUE(parallel == serial)

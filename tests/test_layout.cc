@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the NCHWc8 blocked activation-layout subsystem
- * (src/layout/): layout round-trips, blocked tile gather/scatter-add
- * against their NCHW counterparts, the c-blocked per-tap GEMM, the
- * full blocked Winograd pipeline against the NCHW tiled path, and the
- * blocked-input im2col entry point.
+ * (src/layout/): layout round-trips, the blocked tile gather against
+ * its NCHW counterpart, the c-blocked per-tap GEMM, the full blocked
+ * Winograd pipeline against the NCHW tiled path, and the blocked-input
+ * im2col entry point.
  */
 
 #include <gtest/gtest.h>
@@ -136,26 +136,6 @@ TEST_P(BlockedWinograd, GatherMatchesNchwGatherLanewise)
                      l != 0 && l < kLayoutBlock; ++l)
                     ASSERT_EQ(vBlk.at(k, cb - 1, p, l), 0.0);
     }
-}
-
-TEST_P(BlockedWinograd, ScatterAddMatchesNchwScatterAdd)
-{
-    const WinoVariant v = GetParam();
-    const Shape shape{2, 5, 7, 9};
-    const WinoDims d = winoDims(shape, v, 1);
-    const TensorD tiles = randomTensor(
-        {d.t * d.t, shape[1], d.tiles}, 300);
-
-    TensorD gradRef(shape);
-    winogradScatterAddTiles(tiles, v, 1, gradRef);
-
-    TensorD gradBlk(blockedShape(shape));
-    winogradScatterAddTilesBlocked(blockTiles(tiles), v, 1, gradBlk);
-
-    TensorD gradFlat(shape);
-    blockedToNchw(gradBlk, gradFlat);
-    // Same additions in the same per-element order: bit-exact.
-    EXPECT_TRUE(gradFlat == gradRef);
 }
 
 TEST_P(BlockedWinograd, TapGemmMatchesNchwTapGemm)
