@@ -528,7 +528,8 @@ requiredScaling(std::size_t hwCores)
 }
 
 /**
- * CI smoke check. Twelve structural gates:
+ * CI smoke check. Twelve structural gates (numbered 1-13; gate 7,
+ * which timed a since-deleted NCHW int8 backend, is retired):
  *
  *  1. the blocked GEMM core must beat the naive i-k-j loop it
  *     replaced on a representative per-tap shape,
@@ -544,11 +545,8 @@ requiredScaling(std::size_t hwCores)
  *     lose to the generic blocked widening kernel it replaced on a
  *     representative per-tap GEMM shape (equal on hosts where the
  *     dispatch resolves to the generic scalar kernel),
- *  7. end-to-end blocked int8 winograd must not lose to NCHW
- *     int-winograd on the wide layer (the quantized counterpart of
- *     gate 4), and
  *  8. autoSelect must pick the blocked int8 engine on the wide
- *     quantized layer (racing NCHW int-winograd and im2col-int8),
+ *     quantized layer (racing its F2/F4 variants and im2col-int8),
  *  9. open-loop throughput through the epoll front door must scale
  *     from 1 to 8 workers by at least requiredScaling(hw) — 4x on
  *     hosts with >= 8 cores, degrading with core count down to a
@@ -564,7 +562,9 @@ requiredScaling(std::size_t hwCores)
  *     chain while its output stays within 40 half-ULPs of the fp32
  *     output range (on soft-half hosts the throughput requirement
  *     degrades to a no-collapse bound; the accuracy bound always
- *     holds).
+ *     holds), and
+ * 13. chain-aware layout planning must not lose to the per-layer
+ *     argmin on a three-deep wide-64 chain.
  *
  * The timed gates carry a 10% slack so a scheduling blip on a shared
  * CI runner cannot flip a structural claim into a flake; an actual
@@ -726,44 +726,12 @@ runSmoke()
                     winoName(sel.layerVariant(0)),
                     sok ? "" : "  << FAIL: blocked path not selected");
 
-        // Gate 7: the quantized counterpart of gate 4 — blocked int8
-        // winograd against NCHW int-winograd, both on their native
-        // steady-state input layout, both with the same calibration.
-        {
-            TensorD calT({2, d.cin, d.height, d.width});
-            Rng calRng(seed++);
-            calRng.fillNormal(calT.storage(), 0.0, 1.0);
-            std::vector<TensorD> cal{calT};
-            LayerBuild qbuild = build;
-            qbuild.calibration = &cal;
-            const auto intWino =
-                registry.get(ConvEngine::WinogradInt8);
-            const auto intBlocked =
-                registry.get(ConvEngine::WinogradBlockedInt8);
-            const auto prepInt =
-                intWino->prepare(d, weights, qbuild);
-            const auto prepIntB =
-                intBlocked->prepare(d, weights, qbuild);
-            const double tInt =
-                timeBackendRun(*intWino, *prepInt, probe, arena, 7);
-            const double tIntB = timeBackendRun(
-                *intBlocked, *prepIntB, probeBlocked, arena, 7);
-            const bool qok = tIntB < 1.10 * tInt;
-            failures += !qok;
-            std::printf("%-12s %12.1f %12.1f %7.2fx%s\n",
-                        "wide-64-i8c8", tInt * 1e6, tIntB * 1e6,
-                        tInt / tIntB,
-                        qok ? ""
-                            : "  << FAIL: blocked int8 slower than "
-                              "NCHW int8");
-        }
-
         // Gate 8: the measured quantized policy must land on the
-        // blocked int8 engine (the race includes NCHW int-winograd
-        // F2/F4 and im2col-int8).
+        // blocked int8 engine (the race includes its F2/F4 variants
+        // and im2col-int8).
         {
             SessionConfig qcfg;
-            qcfg.defaultEngine = ConvEngine::WinogradInt8;
+            qcfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
             qcfg.autoSelect = true;
             qcfg.chainDp = false; // local winner, as in gate 5
             const Session qsel(wideNet, qcfg);
@@ -1525,10 +1493,9 @@ main(int argc, char **argv)
         wide.width = 16;
         runLayerLatency(wide, "wide64", 8, hw, results);
 
-        // Quantized wide-64 single-batch latency: NCHW int-winograd
-        // vs the NCHWc8 blocked int8 engine, each on its native
-        // steady-state input layout — the rows the int8 layout claim
-        // is tracked by (wide64-int8-nchw / wide64-int8-blocked).
+        // Quantized wide-64 single-batch latency of the NCHWc8
+        // blocked int8 engine on its native steady-state input
+        // layout, tracked in the JSON as wide64-int8-blocked.
         {
             const EngineRegistry &registry = EngineRegistry::instance();
             LayerBuild build;
@@ -1588,15 +1555,11 @@ main(int argc, char **argv)
                 results.push_back(r);
                 return r.p50Ms;
             };
-            const double pInt = latencyRow(ConvEngine::WinogradInt8,
-                                           "wide64-int8-nchw",
-                                           probe);
             const double pIntB =
                 latencyRow(ConvEngine::WinogradBlockedInt8,
                            "wide64-int8-blocked", probeBlocked);
-            std::printf("layer wide-64 int8 p50: nchw %.3f ms, "
-                        "nchwc8 %.3f ms (%.2fx)\n",
-                        pInt, pIntB, pInt / pIntB);
+            std::printf("layer wide-64 int8 p50: nchwc8 %.3f ms\n",
+                        pIntB);
         }
 
         // Fused-epilogue and binary16-storage wide-64 rows: the fused

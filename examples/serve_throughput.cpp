@@ -6,11 +6,13 @@
  * latency percentiles.
  *
  * Usage:
- *   serve_throughput [--engine im2col|winograd-fp32|winograd-int8|im2col-int8]
- *                    [--threads N] [--batch B] [--clients C]
- *                    [--requests R] [--res PX] [--width CH]
- *                    [--variant f2|f4] [--trace out.json] [--metrics]
+ *   serve_throughput [--engine ENGINE] [--threads N] [--batch B]
+ *                    [--clients C] [--requests R] [--res PX]
+ *                    [--width CH] [--variant f2|f4]
+ *                    [--trace out.json] [--metrics]
  *
+ * ENGINE is one of im2col, winograd-fp32, im2col-int8,
+ * winograd-blocked, winograd-blocked-int8, winograd-blocked-f16.
  * --trace writes a Chrome trace-event JSON of the run (open in
  * chrome://tracing or https://ui.perfetto.dev) with one lane per
  * worker; --metrics dumps the server's Prometheus-style metrics text

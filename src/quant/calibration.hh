@@ -2,19 +2,18 @@
  * @file
  * Shared calibration statistics for one layer's quantized candidates.
  *
- * autoSelect races up to five quantized backends per layer (NCHW
- * int-winograd F2/F4, blocked int-winograd F2/F4, im2col-int8), and
- * each one used to recalibrate from scratch on the same calibration
- * set: an abs-max pass, a fake-quantization pass, and a Winograd-tap
- * maxima pass per IntWinogradConv build — ~13 passes per layer where
- * 4 suffice. A CalibrationCache memoizes each statistic the first
+ * autoSelect races up to three quantized candidates per layer
+ * (blocked int-winograd F2/F4, im2col-int8), and each one used to
+ * recalibrate from scratch on the same calibration set: an abs-max
+ * pass, a fake-quantization pass, and a Winograd-tap maxima pass per
+ * IntWinogradConv build — ~7 passes per layer where 4 suffice. A CalibrationCache memoizes each statistic the first
  * time any candidate asks for it; every later candidate reuses the
  * exact same result, so cached and uncached builds are bit-identical.
  *
  * Every *computed* pass increments the process-wide
  * `quant.calibration_passes` counter (obs::Registry::global()), which
  * is how tests prove the sharing: a quantized autoSelect build with
- * the cache performs 4 passes per layer instead of 13.
+ * the cache performs 4 passes per layer instead of 7.
  *
  * Not thread-safe: a cache belongs to one session build's layer loop,
  * which prepares candidates sequentially.

@@ -32,15 +32,14 @@
  * Every integer stage computes the same order-free sums as the NCHW
  * pipeline, so forwardInt8 is bit-identical to forwardInt8Reference
  * (modulo the NCHWc8 layout of the returned tensors). The FP dequant
- * of forwardInto deliberately keeps the staged row-pass form rather
- * than the fused output transform of the fp64 engine — per-lane fused
- * S_BG * s_x scaling, Kronecker row passes through the dispatched
- * kron kernel, blocked untile — because the NCHW engine's gather is
- * specified in the same row-pass order over the same fused scales and
- * the same dispatched kernel: the blocked FP dequant is therefore
- * bit-identical to the NCHW engine (modulo layout), not merely
- * tolerance-equal; its result is deterministic and independent of
- * batch size and sharding. Overflow is excluded by construction:
+ * of forwardInto keeps the staged row-pass form rather than the fused
+ * output transform of the fp64 engine — per-lane fused S_BG * s_x
+ * scaling, Kronecker row passes through the dispatched kron kernel,
+ * blocked untile — which is the specification IntWinogradConv's
+ * gather also follows; the tested contract is agreement with
+ * IntWinogradConv::forward within a relative 1e-9 per element. The
+ * result is deterministic and independent of batch size and
+ * sharding. Overflow is excluded by construction:
  * operands are bounded by 2^(winogradBits-1) <= 2^9, so int32
  * accumulation over cinb*8 channels is wrap-free for any channel
  * count the constructor accepts (asserted).
@@ -76,10 +75,10 @@ class BlockedIntWinograd
      * allocations. A non-null `runner` shards the per-tap GEMMs
      * (bit-identical to serial — integer sums are order-free, and
      * the FP dequant is elementwise/row-pass, so results never
-     * depend on batch size or sharding). Tolerance-equal to
-     * IntWinogradConv::forward on the equivalent NCHW input (exact
-     * integer stages; the FP back-transform differs in FMA
-     * contraction order, like the FP blocked pipeline). A non-null
+     * depend on batch size or sharding). Agrees with
+     * IntWinogradConv::forward on the equivalent NCHW input within a
+     * relative 1e-9 per element (exact integer stages, FP dequant
+     * checked to tolerance). A non-null
      * `bias8` ([Coutb*8], tail lanes zero) and `relu` are the fused
      * FP epilogue of the blocked untile (winogradUntileBlocked).
      */

@@ -7,8 +7,6 @@
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "gemm/gemm.hh"
-#include "obs/perf.hh"
-#include "obs/trace.hh"
 #include "layout/kernels.hh"
 #include "quant/calibration.hh"
 #include "quant/quantizer.hh"
@@ -152,88 +150,60 @@ IntWinogradConv::IntWinogradConv(const TensorD &weights,
 void
 IntWinogradConv::scatterGemm(const TensorD &input, bool useShifts,
                              TensorI64 &xq, TensorI64 &V, TensorI64 &U,
-                             TensorI64 &M, gemm::ParallelRunner *runner,
-                             gemm::PackPool *packs) const
+                             TensorI64 &M) const
 {
     const WinoDims d = winoDims(input.shape(), cfg_.variant, cfg_.pad);
     const std::size_t t = d.t;
     const std::size_t tt = t * t;
 
     // Spatial-domain input quantization.
-    {
-        TWQ_SPAN("wino8.quantize");
-        TWQ_STAGE_PERF("wino8.quantize");
-        if (xq.shape() != input.shape())
-            xq = TensorI64(input.shape());
-        for (std::size_t i = 0; i < input.numel(); ++i)
-            xq[i] = quantize(input[i], sx_, cfg_.spatialBits);
-    }
+    if (xq.shape() != input.shape())
+        xq = TensorI64(input.shape());
+    for (std::size_t i = 0; i < input.numel(); ++i)
+        xq[i] = quantize(input[i], sx_, cfg_.spatialBits);
 
     // Scatter: raw tiles, then the exact integer B-transform as
     // Kronecker row passes (order-independent, so bit-identical to
     // the per-tile reference), then the tap-wise requantization
     // applied per row of the flat [t*t, Cin, P] buffer.
-    {
-        TWQ_SPAN("wino8.gather");
-        TWQ_STAGE_PERF("wino8.gather");
-        winogradGatherTiles(xq, cfg_.variant, cfg_.pad, V);
-    }
+    winogradGatherTiles(xq, cfg_.variant, cfg_.pad, V);
     const Shape ushape{tt, d.cin, d.tiles};
     if (U.shape() != ushape)
         U = TensorI64(ushape);
     const std::size_t rowLen = d.cin * d.tiles;
-    {
-        TWQ_SPAN("wino8.bkron");
-        TWQ_STAGE_PERF("wino8.bkron");
-        applyKron(winoInputKron<std::int64_t>(cfg_.variant), V.data(),
-                  rowLen, U.data());
-    }
-    {
-        TWQ_SPAN("wino8.requant");
-        TWQ_STAGE_PERF("wino8.requant");
-        for (std::size_t k = 0; k < tt; ++k) {
-            std::int64_t *row = U.data() + k * rowLen;
-            const double s = sb_(k / t, k % t);
-            if (useShifts) {
-                // Shift-based hardware rescale.
-                const int sh = log2Exact(s);
-                for (std::size_t l = 0; l < rowLen; ++l)
-                    row[l] = clampSigned(shiftRightRound(row[l], sh),
-                                         cfg_.winogradBits);
-            } else {
-                // Round half away from zero, matching the shift-based
-                // path exactly when the scale is a power of two.
-                for (std::size_t l = 0; l < rowLen; ++l) {
-                    const double r =
-                        std::round(static_cast<double>(row[l]) / s);
-                    row[l] = clampSigned(static_cast<std::int64_t>(r),
-                                         cfg_.winogradBits);
-                }
+    applyKron(winoInputKron<std::int64_t>(cfg_.variant), V.data(),
+              rowLen, U.data());
+    for (std::size_t k = 0; k < tt; ++k) {
+        std::int64_t *row = U.data() + k * rowLen;
+        const double s = sb_(k / t, k % t);
+        if (useShifts) {
+            // Shift-based hardware rescale.
+            const int sh = log2Exact(s);
+            for (std::size_t l = 0; l < rowLen; ++l)
+                row[l] = clampSigned(shiftRightRound(row[l], sh),
+                                     cfg_.winogradBits);
+        } else {
+            // Round half away from zero, matching the shift-based
+            // path exactly when the scale is a power of two.
+            for (std::size_t l = 0; l < rowLen; ++l) {
+                const double r =
+                    std::round(static_cast<double>(row[l]) / s);
+                row[l] = clampSigned(static_cast<std::int64_t>(r),
+                                     cfg_.winogradBits);
             }
         }
     }
 
     // Per-tap GEMM: M[k] = Wq[k] ([Cout, Cin]) * U[k] ([Cin, P]),
-    // each on the blocked integer core; taps (further split into P
-    // column blocks when taps alone under-fill the pool) shard across
-    // `runner` when one is provided (exact integer sums — order-free).
+    // each on the blocked integer core.
     const Shape mshape{tt, cout_, d.tiles};
     if (M.shape() != mshape)
         M = TensorI64(mshape);
-    if (!runner)
-        packs = nullptr; // lanes are only exclusive under a runner
-    TWQ_SPAN("wino8.tapgemm");
-    TWQ_STAGE_PERF("wino8.tapgemm");
-    gemm::runTapColBlocks(
-        runner, tt, d.tiles, gemm::kNr,
-        [&](std::size_t k, std::size_t j0, std::size_t jn,
-            std::size_t lane) {
-            gemm::gemmCols(wqTaps_.data() + k * cout_ * cin_,
-                           U.data() + k * cin_ * d.tiles + j0,
-                           M.data() + k * cout_ * d.tiles + j0, cout_,
-                           cin_, jn, d.tiles, d.tiles,
-                           gemm::lanePack<std::int64_t>(packs, lane));
-        });
+    for (std::size_t k = 0; k < tt; ++k)
+        gemm::gemm(wqTaps_.data() + k * cout_ * cin_,
+                   U.data() + k * cin_ * d.tiles,
+                   M.data() + k * cout_ * d.tiles, cout_, cin_,
+                   d.tiles);
 }
 
 TensorD
@@ -250,10 +220,8 @@ IntWinogradConv::forward(const TensorD &input) const
 void
 IntWinogradConv::forwardInto(const TensorD &input, TensorI64 &xq,
                              TensorI64 &V, TensorI64 &U, TensorI64 &M,
-                             TensorD &Md, TensorD &Y, TensorD &out,
-                             gemm::ParallelRunner *runner,
-                             gemm::PackPool *packs, const double *bias,
-                             bool relu) const
+                             TensorD &Md, TensorD &Y,
+                             TensorD &out) const
 {
     twq_assert(input.rank() == 4 && input.dim(1) == cin_,
                "channel mismatch");
@@ -264,51 +232,37 @@ IntWinogradConv::forwardInto(const TensorD &input, TensorI64 &xq,
                "output tensor not pre-shaped for the tiled launch");
     const std::size_t tt = d.t * d.t;
 
-    scatterGemm(input, /*useShifts=*/false, xq, V, U, M, runner,
-                packs);
+    scatterGemm(input, /*useShifts=*/false, xq, V, U, M);
 
     // Gather, specified in row-pass order — the same specification
-    // the blocked engine vectorizes, so the two dequants are
-    // bit-identical: the fused S_BG * s_x scale applied per
-    // (tap, oc) GEMM slice, the FP A-transform as Kronecker row
-    // passes through the dispatched kron kernel (FMA contraction and
-    // term order included), then the clipped untile with the fused
-    // epilogue.
+    // the blocked engine vectorizes: the fused S_BG * s_x scale
+    // applied per (tap, oc) GEMM slice, the FP A-transform as
+    // Kronecker row passes through the dispatched kron kernel, then
+    // the clipped untile.
     const Shape mdshape{tt, cout_, d.tiles};
     if (Md.shape() != mdshape)
         Md = TensorD(mdshape);
-    {
-        TWQ_SPAN("wino8.rescale");
-        TWQ_STAGE_PERF("wino8.rescale");
-        for (std::size_t k = 0; k < tt; ++k) {
-            for (std::size_t oc = 0; oc < cout_; ++oc) {
-                const std::int64_t *src =
-                    M.data() + (k * cout_ + oc) * d.tiles;
-                double *dst = Md.data() + (k * cout_ + oc) * d.tiles;
-                const double s = dqScale_[k * cout_ + oc];
-                for (std::size_t p = 0; p < d.tiles; ++p)
-                    dst[p] = static_cast<double>(src[p]) * s;
-            }
+    for (std::size_t k = 0; k < tt; ++k) {
+        for (std::size_t oc = 0; oc < cout_; ++oc) {
+            const std::int64_t *src =
+                M.data() + (k * cout_ + oc) * d.tiles;
+            double *dst = Md.data() + (k * cout_ + oc) * d.tiles;
+            const double s = dqScale_[k * cout_ + oc];
+            for (std::size_t p = 0; p < d.tiles; ++p)
+                dst[p] = static_cast<double>(src[p]) * s;
         }
     }
     const Shape yshape{d.m * d.m, cout_, d.tiles};
     if (Y.shape() != yshape)
         Y = TensorD(yshape);
-    {
-        TWQ_SPAN("wino8.akron");
-        TWQ_STAGE_PERF("wino8.akron");
-        layout::kernels().kron(winoOutputKron<double>(cfg_.variant),
-                               Md.data(), cout_ * d.tiles, Y.data());
-    }
+    layout::kernels().kron(winoOutputKron<double>(cfg_.variant),
+                           Md.data(), cout_ * d.tiles, Y.data());
 
-    TWQ_SPAN("wino8.untile");
-    TWQ_STAGE_PERF("wino8.untile");
     const double *yy0 = Y.data();
     for (std::size_t in = 0; in < d.n; ++in) {
         for (std::size_t oc = 0; oc < cout_; ++oc) {
             double *plane =
                 out.data() + (in * cout_ + oc) * d.ho * d.wo;
-            const double bc = bias ? bias[oc] : 0.0;
             for (std::size_t ty = 0; ty < d.tilesY; ++ty) {
                 for (std::size_t tx = 0; tx < d.tilesX; ++tx) {
                     const std::size_t p =
@@ -321,15 +275,10 @@ IntWinogradConv::forwardInto(const TensorD &input, TensorI64 &xq,
                         double *dst =
                             plane + (ty * d.m + yy) * d.wo + tx * d.m;
                         for (std::size_t xx = 0; xx < xlim; ++xx) {
-                            double v =
+                            dst[xx] =
                                 yy0[((yy * d.m + xx) * cout_ + oc) *
                                         d.tiles +
                                     p];
-                            if (bias)
-                                v += bc;
-                            if (relu && v < 0.0)
-                                v = 0.0;
-                            dst[xx] = v;
                         }
                     }
                 }

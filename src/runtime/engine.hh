@@ -50,7 +50,6 @@ class ArenaPackPool : public gemm::PackPool
     {}
 
     double *packD(std::size_t lane) override;
-    std::int64_t *packI64(std::size_t lane) override;
     std::int8_t *packI8(std::size_t lane) override;
 
   private:

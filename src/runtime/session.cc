@@ -52,52 +52,6 @@ biasInit(std::size_t cout, std::uint64_t seed)
 }
 
 /**
- * Shape-seeded starting variant for a raced layer (à la TVM's
- * tile-size inference): prefer the largest transform whose output
- * tile divides the layer's output exactly — a partial edge tile
- * wastes the wider transform's arithmetic saving — and whose channel
- * width amortizes the bigger Kronecker row passes; quantized layers
- * additionally require the variant to pass the bitwidth model's int8
- * eligibility gate (which excludes F6 outright: its transforms are
- * not integer).
- */
-WinoVariant
-seededVariant(const ConvLayerDesc &d, bool quantized, int winogradBits)
-{
-    const auto fits = [&](WinoVariant v, std::size_t m,
-                          std::size_t minC) {
-        if (d.outHeight() % m != 0 || d.outWidth() % m != 0 ||
-            d.cin < minC)
-            return false;
-        return !quantized || winoInt8Eligible(v, winogradBits, d.cin);
-    };
-    if (fits(WinoVariant::F6, 6, 64))
-        return WinoVariant::F6;
-    if (fits(WinoVariant::F4, 4, 16))
-        return WinoVariant::F4;
-    return WinoVariant::F2;
-}
-
-/**
- * Shape-seeded starting engine: wide-channel layers start on the
- * NCHWc8 blocked flavor of their family (the c-block only pays off
- * once there are whole blocks to vectorize over); narrow layers keep
- * the configured default. Like the variant seed, this only picks the
- * incumbent — the race still measures everything.
- */
-ConvEngine
-seededEngine(const ConvLayerDesc &d, ConvEngine engine)
-{
-    if (d.cin < 16)
-        return engine;
-    if (engine == ConvEngine::WinogradFp32)
-        return ConvEngine::WinogradBlocked;
-    if (engine == ConvEngine::WinogradInt8)
-        return ConvEngine::WinogradBlockedInt8;
-    return engine;
-}
-
-/**
  * Separate-pass epilogue over an NCHW activation — the unfused
  * baseline. Bias is added only when present (adding a literal 0.0
  * would flip -0.0 outputs to +0.0 and break bit-identity with the
@@ -209,7 +163,6 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         // when the session's default path is quantized, so quantized
         // sessions stay quantized end to end.
         const bool quantizedDefault =
-            cfg.defaultEngine == ConvEngine::WinogradInt8 ||
             cfg.defaultEngine == ConvEngine::WinogradBlockedInt8 ||
             cfg.defaultEngine == ConvEngine::Im2colInt8;
         const ConvEngine fallback =
@@ -273,8 +226,7 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
     // layer; a session with none skips it entirely.
     std::size_t calEnd = 0;
     for (std::size_t i = 0; i < layers_.size(); ++i)
-        if (layers_[i].engine == ConvEngine::WinogradInt8 ||
-            layers_[i].engine == ConvEngine::WinogradBlockedInt8 ||
+        if (layers_[i].engine == ConvEngine::WinogradBlockedInt8 ||
             layers_[i].engine == ConvEngine::Im2colInt8)
             calEnd = i + 1;
     TensorD cal;
@@ -323,33 +275,16 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         Layer &layer = layers_[i];
 
-        // ConvEngine-auto policy membership is decided up front so
-        // the shape seed can steer which candidate is prepared first
-        // (and wins ties): raced layers start on the variant/engine
-        // the layer's geometry suggests instead of blindly on the
-        // configured default. The race still measures the full set,
-        // so the seed is free when right and measured away when
-        // wrong. Non-raced layers are untouched — without autoSelect
-        // every layer reports the configured variant.
+        // ConvEngine-auto policy membership: raced layers start on
+        // the configured engine and variant, which is prepared first
+        // and wins exact ties; the race measures the full set.
         const bool fpRace =
             layer.engine == ConvEngine::WinogradFp32 ||
             layer.engine == ConvEngine::WinogradBlocked;
         const bool quantRace =
-            layer.engine == ConvEngine::WinogradInt8 ||
             layer.engine == ConvEngine::WinogradBlockedInt8;
         const bool raced =
             cfg.autoSelect && !pinned[i] && (fpRace || quantRace);
-        if (raced && cfg.shapeSeed) {
-            layer.variant = seededVariant(layer.desc, quantRace,
-                                          cfg.quant.winogradBits);
-            const ConvEngine se =
-                seededEngine(layer.desc, layer.engine);
-            if (se != layer.engine &&
-                registry.get(se)->supports(layer.desc)) {
-                layer.engine = se;
-                layer.backend = registry.get(se);
-            }
-        }
 
         LayerBuild build;
         build.params = layer.params;
@@ -369,10 +304,10 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         // after the loop has propagated `cal` past it.
         std::vector<TensorD> &calSet = plans[i].calSet;
         // Shared calibration statistics for every prepare() of this
-        // layer: autoSelect races up to five quantized candidates,
+        // layer: autoSelect races up to three quantized candidates,
         // and without the cache each one would redo the abs-max,
         // fake-quantization, and tap-maxima passes over the same
-        // calibration set (~13 passes per layer instead of 4).
+        // calibration set (~7 passes per layer instead of 4).
         // Results are bit-identical with or without it.
         plans[i].calCache = std::make_unique<CalibrationCache>(&calSet);
         CalibrationCache &layerCal = *plans[i].calCache;
@@ -391,9 +326,9 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         // variant and activation layout together. FP Winograd layers
         // race im2col and every Winograd variant (F2/F4/F6) of the
         // NCHW and NCHWc8-blocked FP backends; quantized Winograd
-        // layers race the quantized counterparts (NCHW int-winograd,
-        // blocked int-winograd — variants clamped by the bitwidth
-        // model's int8 eligibility gate, which excludes F6 — and
+        // layers race the quantized counterparts (blocked
+        // int-winograd — variants clamped by the bitwidth model's
+        // int8 eligibility gate, which excludes F6 — and
         // im2col-int8), never an FP engine, which would silently
         // drop the quantization the config asked for. Blocked
         // candidates are timed on a blocked probe — the steady-state
@@ -420,7 +355,6 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                            (cfg.raceF16 &&
                             e == ConvEngine::WinogradBlockedF16);
                 return e == ConvEngine::Im2colInt8 ||
-                       e == ConvEngine::WinogradInt8 ||
                        e == ConvEngine::WinogradBlockedInt8;
             };
             bool applied = false;
@@ -551,7 +485,6 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                                               cfg.quant.winogradBits,
                                               layer.desc.cin))
                             continue;
-                        addCandidate(ConvEngine::WinogradInt8, v);
                         addCandidate(ConvEngine::WinogradBlockedInt8,
                                      v);
                     }

@@ -80,12 +80,12 @@ struct SessionConfig
      * variant, timed on a sample batch (blocked candidates on a
      * blocked probe), and the fastest candidate wins — the policy
      * picks the engine, the Winograd variant and the activation
-     * layout together. Quantized Winograd layers race their own
-     * quantized candidate set the same way (NCHW int-winograd,
-     * blocked int-winograd, im2col-int8 — variants clamped by the
-     * bitwidth model's int8 eligibility gate, which excludes F6) —
-     * never an FP engine, which would silently drop the configured
-     * quantization. Ineligible layers still always land on their
+     * layout together. Quantized Winograd layers (defaultEngine
+     * winograd-blocked-int8) race their own quantized candidate set
+     * the same way (blocked int-winograd under F2 and F4, and
+     * im2col-int8 — variants clamped by the bitwidth model's int8
+     * eligibility gate, which excludes F6) — never an FP engine,
+     * which would silently drop the configured quantization. Ineligible layers still always land on their
      * im2col fallback, and explicit layerEngines overrides are
      * honored unmeasured.
      */
@@ -93,18 +93,6 @@ struct SessionConfig
 
     /** Batch size of the autoSelect timing probe. */
     std::size_t autoSelectBatch = 8;
-
-    /**
-     * Seed each raced layer's incumbent candidate from its shape
-     * before measuring (à la TVM's tile-size inference): prefer the
-     * largest variant whose output tile divides the layer's output
-     * exactly and whose channel width amortizes the wider transform,
-     * and start wide-channel layers on the blocked engine. The race
-     * still measures the full candidate set — the seed only decides
-     * which candidate is prepared first and wins ties — so a good
-     * seed costs nothing and a bad one is measured away.
-     */
-    bool shapeSeed = true;
 
     /**
      * Chain-aware layout planning: instead of applying each raced
@@ -145,9 +133,10 @@ struct SessionConfig
 
     /**
      * Route winograd-ineligible layers to the int8 im2col baseline
-     * engine (instead of FP im2col) when defaultEngine is
-     * winograd-int8, so a quantized session is quantized end to end
-     * — the paper's apples-to-apples fallback.
+     * engine (instead of FP im2col) when defaultEngine is quantized
+     * (winograd-blocked-int8 or im2col-int8), so a quantized session
+     * is quantized end to end — the paper's apples-to-apples
+     * fallback.
      */
     bool int8Fallback = true;
 

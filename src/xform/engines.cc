@@ -28,8 +28,6 @@ convEngineName(ConvEngine e)
         return "im2col";
       case ConvEngine::WinogradFp32:
         return "winograd-fp32";
-      case ConvEngine::WinogradInt8:
-        return "winograd-int8";
       case ConvEngine::Im2colInt8:
         return "im2col-int8";
       case ConvEngine::WinogradBlocked:

@@ -48,7 +48,6 @@ enum class ConvEngine
 {
     Im2col,       ///< im2col + matmul baseline (any kernel/stride)
     WinogradFp32, ///< FP32 Winograd, 3x3 stride-1 only
-    WinogradInt8, ///< int8 tap-wise quantized Winograd (Section III)
     Im2colInt8,   ///< int8 im2col on the widening GEMM micro-kernel;
                   ///< the quantized path's fallback for layers the
                   ///< Winograd engines cannot execute
@@ -70,7 +69,7 @@ enum class ConvEngine
 };
 
 /**
- * Name ("im2col" / "winograd-fp32" / "winograd-int8" / "im2col-int8" /
+ * Name ("im2col" / "winograd-fp32" / "im2col-int8" /
  * "winograd-blocked" / "winograd-blocked-int8" /
  * "winograd-blocked-f16").
  */
@@ -83,7 +82,6 @@ bool convEngineFromName(const std::string &name, ConvEngine *out);
 inline constexpr ConvEngine kAllConvEngines[] = {
     ConvEngine::Im2col,
     ConvEngine::WinogradFp32,
-    ConvEngine::WinogradInt8,
     ConvEngine::Im2colInt8,
     ConvEngine::WinogradBlocked,
     ConvEngine::WinogradBlockedInt8,

@@ -410,7 +410,7 @@ TEST_P(ParallelVsSerial, SessionRunIsBitIdentical)
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, ParallelVsSerial,
     ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
-                      ConvEngine::WinogradInt8,
+                      ConvEngine::WinogradBlockedInt8,
                       ConvEngine::Im2colInt8),
     [](const ::testing::TestParamInfo<ConvEngine> &info) {
         switch (info.param) {
@@ -418,8 +418,8 @@ INSTANTIATE_TEST_SUITE_P(
             return "Im2col";
           case ConvEngine::WinogradFp32:
             return "WinogradFp32";
-          case ConvEngine::WinogradInt8:
-            return "WinogradInt8";
+          case ConvEngine::WinogradBlockedInt8:
+            return "WinogradBlockedInt8";
           case ConvEngine::Im2colInt8:
             return "Im2colInt8";
         }

@@ -177,15 +177,15 @@ TEST_P(BatchedVsSequential, ServerResponsesAreBitIdentical)
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, BatchedVsSequential,
     ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
-                      ConvEngine::WinogradInt8),
+                      ConvEngine::WinogradBlockedInt8),
     [](const ::testing::TestParamInfo<ConvEngine> &info) {
         switch (info.param) {
           case ConvEngine::Im2col:
             return "Im2col";
           case ConvEngine::WinogradFp32:
             return "WinogradFp32";
-          case ConvEngine::WinogradInt8:
-            return "WinogradInt8";
+          case ConvEngine::WinogradBlockedInt8:
+            return "WinogradBlockedInt8";
         }
         return "Unknown";
     });
@@ -209,11 +209,11 @@ TEST(Session, PerLayerEngineOverride)
 {
     SessionConfig cfg;
     cfg.defaultEngine = ConvEngine::WinogradFp32;
-    cfg.layerEngines["body.0"] = ConvEngine::WinogradInt8;
+    cfg.layerEngines["body.0"] = ConvEngine::WinogradBlockedInt8;
     cfg.layerEngines["body.1"] = ConvEngine::Im2col;
     const Session session(microServeNet(8, 4), cfg);
     EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradFp32);
-    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradInt8);
+    EXPECT_EQ(session.layerEngine(1), ConvEngine::WinogradBlockedInt8);
     EXPECT_EQ(session.layerEngine(2), ConvEngine::Im2col);
 }
 
@@ -325,9 +325,9 @@ TEST(Session, Int8FallbackRoutesIneligibleLayers)
     // Under a quantized default, strided/pointwise layers land on the
     // int8 im2col baseline so the session stays quantized end to end.
     SessionConfig cfg;
-    cfg.defaultEngine = ConvEngine::WinogradInt8;
+    cfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
     const Session session(microServeNet(8, 4), cfg);
-    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradInt8);
+    EXPECT_EQ(session.layerEngine(0), ConvEngine::WinogradBlockedInt8);
     EXPECT_EQ(session.layerEngine(3), ConvEngine::Im2colInt8);
     EXPECT_EQ(session.layerEngine(4), ConvEngine::Im2colInt8);
 

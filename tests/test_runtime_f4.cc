@@ -111,7 +111,7 @@ TEST_P(F4Runtime, OutputConsistentWithIm2colReference)
     const TensorD y = session.run(input);
     const TensorD ref = reference.run(input);
     ASSERT_EQ(y.shape(), ref.shape());
-    if (GetParam() == ConvEngine::WinogradInt8) {
+    if (GetParam() == ConvEngine::WinogradBlockedInt8) {
         // Quantized inference: close, not equal.
         EXPECT_LT(relativeL2Error(y, ref), 0.5);
     } else {
@@ -134,15 +134,15 @@ TEST(F4Runtime, IneligibleLayersStillFallBackUnderF4)
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, F4Runtime,
     ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
-                      ConvEngine::WinogradInt8),
+                      ConvEngine::WinogradBlockedInt8),
     [](const ::testing::TestParamInfo<ConvEngine> &info) {
         switch (info.param) {
           case ConvEngine::Im2col:
             return "Im2col";
           case ConvEngine::WinogradFp32:
             return "WinogradFp32";
-          case ConvEngine::WinogradInt8:
-            return "WinogradInt8";
+          case ConvEngine::WinogradBlockedInt8:
+            return "WinogradBlockedInt8";
         }
         return "Unknown";
     });

@@ -120,7 +120,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(ConvEngine::Im2col, ConvEngine::WinogradFp32,
                           ConvEngine::WinogradBlocked,
-                          ConvEngine::WinogradInt8,
                           ConvEngine::WinogradBlockedInt8,
                           ConvEngine::Im2colInt8),
         ::testing::Values(16, 9), // even and odd H/W

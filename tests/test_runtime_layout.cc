@@ -265,7 +265,8 @@ TEST(PlanCacheTest, ForeignEngineEntriesAreIgnoredAndReprobed)
     for (const ConvLayerDesc &d : net.expandedLayers())
         if (d.winogradEligible())
             cache.store(PlanCache::layerKey(d, cfg.autoSelectBatch),
-                        {ConvEngine::WinogradInt8, WinoVariant::F2});
+                        {ConvEngine::WinogradBlockedInt8,
+                         WinoVariant::F2});
 
     const Session session(net, cfg);
     for (std::size_t i = 0; i < 3; ++i) {
@@ -281,7 +282,7 @@ TEST(PlanCacheTest, ForeignEngineEntriesAreIgnoredAndReprobed)
         PlanCache::layerKey(net.expandedLayers()[0],
                             cfg.autoSelectBatch),
         &dec));
-    EXPECT_NE(dec.engine, ConvEngine::WinogradInt8);
+    EXPECT_NE(dec.engine, ConvEngine::WinogradBlockedInt8);
 }
 
 TEST(PlanCacheTest, SerializeRoundTripsAndPersistsToDisk)
@@ -377,6 +378,22 @@ TEST(PlanCacheTest, StaleV3FilesAreRejectedWithoutDamage)
         "2 im2col F2 5\n";
     EXPECT_FALSE(cache.deserialize(truncated));
     EXPECT_EQ(cache.size(), 1u);
+
+    // A v4 file written before the NCHW int8 engine was removed names
+    // `winograd-int8` in a race table: the whole file is rejected,
+    // including its well-formed lines, and nothing is merged.
+    const std::string retired =
+        "twq-plan-cache v4 " + PlanCache::signature() +
+        "\nc64o64k3s1h16w16b8 winograd-blocked F4 1 0 0 0 0 9 8 9 8 "
+        "1 winograd-blocked F4 1"
+        "\nc3o4k3s1h8w8b8q8 im2col-int8 F2 19585 0 0 0 0 1948 707 "
+        "2023 956 3 winograd-int8 F2 109505 winograd-blocked-int8 F2 "
+        "40091 im2col-int8 F2 19585\n";
+    EXPECT_FALSE(cache.deserialize(retired));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_FALSE(cache.lookup("c64o64k3s1h16w16b8", &d));
+    EXPECT_FALSE(cache.lookup("c3o4k3s1h8w8b8q8", &d));
+    EXPECT_TRUE(cache.lookup("keep", &d));
 }
 
 TEST(PlanCacheTest, TunedCacheBuildsWithZeroProbes)

@@ -98,7 +98,7 @@ policyFor(const std::string &cachePath, bool quantized,
     cfg.autoSelectBatch = batch;
     cfg.planCachePath = cachePath;
     if (quantized)
-        cfg.defaultEngine = ConvEngine::WinogradInt8;
+        cfg.defaultEngine = ConvEngine::WinogradBlockedInt8;
     return cfg;
 }
 
