@@ -285,7 +285,7 @@ void
 BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
                                 TensorI32 &U32, TensorI16 &U16,
                                 TensorI8 &U8, TensorI32 &M,
-                                TensorD &Md, TensorD &Y, TensorD &out,
+                                TensorD &Md, TensorD &out,
                                 gemm::ParallelRunner *runner,
                                 const double *bias8, bool relu) const
 {
@@ -307,9 +307,10 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
 
     // Dequant gather, vectorized blocked form: the tap-wise S_BG
     // rescale (sx folded in) as one per-lane scale vector over each
-    // (tap, coutb) slice of M, then the FP A-transform as FMA
-    // Kronecker row passes, then the blocked untile. Padded lanes
-    // scale by zero, so the untile writes them as exact zeros.
+    // (tap, coutb) slice of M, then the fused FP output transform
+    // (A^T m A + untile + epilogue in one pass, sharded by tile row
+    // like the fp64 engine). Padded lanes scale by zero, so the
+    // output kernel writes them as exact zeros.
     const Shape mdshape{tt, coutb_, d.tiles, kB};
     if (Md.shape() != mdshape)
         Md = TensorD(mdshape);
@@ -324,20 +325,11 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
                     Md.data() + (k * coutb_ + co) * d.tiles * kB,
                     d.tiles);
     }
-    const Shape yshape{d.m * d.m, coutb_, d.tiles, kB};
-    if (Y.shape() != yshape)
-        Y = TensorD(yshape);
     {
-        TWQ_SPAN("winoc8i.akron");
-        TWQ_STAGE_PERF("winoc8i.akron");
-        layout::kernels().kron(winoOutputKron<double>(cfg.variant),
-                               Md.data(), coutb_ * d.tiles * kB,
-                               Y.data());
-    }
-    {
-        TWQ_SPAN("winoc8i.untile");
-        TWQ_STAGE_PERF("winoc8i.untile");
-        winogradUntileBlocked(Y, cfg.variant, out, bias8, relu);
+        TWQ_SPAN("winoc8i.output");
+        TWQ_STAGE_PERF("winoc8i.output");
+        winogradOutputTransformBlocked(Md, cfg.variant, out, bias8,
+                                       relu, runner);
     }
 }
 
@@ -350,9 +342,9 @@ BlockedIntWinograd::forward(const TensorD &input) const
     TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
-    TensorD Md, Y;
+    TensorD Md;
     TensorD out({d.n, coutb_, d.ho, d.wo, kB});
-    forwardInto(input, xq, U32, U16, U8, M, Md, Y, out);
+    forwardInto(input, xq, U32, U16, U8, M, Md, out);
     return out;
 }
 

@@ -25,21 +25,22 @@
  *             AVX2 vpmaddwd / NEON smlal / scalar)
  *   rescale   per GEMM slice, exactly like the NCHW path: the FP
  *             gather multiplies each tap slice by S_BG (a per-lane
- *             scale vector, with sx folded in); the fully integer
- *             path left-shifts each (tap, oc) slice to the channel's
- *             common power-of-two scale
+ *             scale vector, with sx folded in) into Md; the fully
+ *             integer path left-shifts each (tap, oc) slice to the
+ *             channel's common power-of-two scale
+ *   output    FP path only: the fused output transform of the fp64
+ *             engine (winogradOutputTransformBlocked — A^T m A, the
+ *             untile and the bias/ReLU epilogue in one pass over Md,
+ *             sharded by tile row)
  *
  * Every integer stage computes the same order-free sums as the NCHW
  * pipeline, so forwardInt8 is bit-identical to forwardInt8Reference
  * (modulo the NCHWc8 layout of the returned tensors). The FP dequant
- * of forwardInto keeps the staged row-pass form rather than the fused
- * output transform of the fp64 engine — per-lane fused S_BG * s_x
- * scaling, Kronecker row passes through the dispatched kron kernel,
- * blocked untile — which is the specification IntWinogradConv's
- * gather also follows; the tested contract is agreement with
- * IntWinogradConv::forward within a relative 1e-9 per element. The
- * result is deterministic and independent of batch size and
- * sharding. Overflow is excluded by construction:
+ * of forwardInto rounds differently from IntWinogradConv's staged
+ * gather (Kronecker row passes, then untile); the tested contract is
+ * agreement with IntWinogradConv::forward within a relative 1e-9 per
+ * element. The result is deterministic and independent of batch size
+ * and sharding. Overflow is excluded by construction:
  * operands are bounded by 2^(winogradBits-1) <= 2^9, so int32
  * accumulation over cinb*8 channels is wrap-free for any channel
  * count the constructor accepts (asserted).
@@ -72,20 +73,19 @@ class BlockedIntWinograd
      * pre-shaped NCHWc8 `out` ([N, Coutb, Ho, Wo, 8]; padded lanes
      * are zeroed). Caller-provided buffers (e.g. ScratchArena slots)
      * are reshaped as needed, so the steady state performs no
-     * allocations. A non-null `runner` shards the per-tap GEMMs
-     * (bit-identical to serial — integer sums are order-free, and
-     * the FP dequant is elementwise/row-pass, so results never
-     * depend on batch size or sharding). Agrees with
-     * IntWinogradConv::forward on the equivalent NCHW input within a
-     * relative 1e-9 per element (exact integer stages, FP dequant
-     * checked to tolerance). A non-null
-     * `bias8` ([Coutb*8], tail lanes zero) and `relu` are the fused
-     * FP epilogue of the blocked untile (winogradUntileBlocked).
+     * allocations. A non-null `runner` shards the per-tap GEMMs and
+     * the output transform (bit-identical to serial — integer sums
+     * are order-free, and the FP dequant computes each pixel alone,
+     * so results never depend on batch size or sharding). Agrees
+     * with IntWinogradConv::forward on the equivalent NCHW input
+     * within a relative 1e-9 per element (exact integer stages, FP
+     * dequant checked to tolerance). A non-null `bias8` ([Coutb*8],
+     * tail lanes zero) and `relu` are the fused FP epilogue of the
+     * output transform (winogradOutputTransformBlocked).
      */
     void forwardInto(const TensorD &input, TensorI32 &xq,
                      TensorI32 &U32, TensorI16 &U16, TensorI8 &U8,
-                     TensorI32 &M, TensorD &Md, TensorD &Y,
-                     TensorD &out,
+                     TensorI32 &M, TensorD &Md, TensorD &out,
                      gemm::ParallelRunner *runner = nullptr,
                      const double *bias8 = nullptr,
                      bool relu = false) const;

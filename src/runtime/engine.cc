@@ -350,7 +350,6 @@ struct WinogradBlockedInt8Prepared : PreparedLayer
     ScratchArena::Slot narrowed8 = 0; ///< biased-u8 GEMM-operand slot
     ScratchArena::Slot gemm = 0;      ///< int32 M buffer slot
     ScratchArena::Slot dequant = 0;   ///< f64 rescaled-M slot
-    ScratchArena::Slot back = 0;      ///< f64 Y back-transform slot
     std::vector<double> bias8; ///< per-lane bias [coutb*8]; empty = none
     bool relu = false;
 };
@@ -358,10 +357,11 @@ struct WinogradBlockedInt8Prepared : PreparedLayer
 /**
  * int8 tap-wise quantized Winograd on the NCHWc8 blocked activation
  * layout (quant/int_wino_blocked.hh): blocked tiles quantize in
- * place, the per-tap widening GEMM runs the int16 c-block kernel,
- * and the tap-wise S_BG rescale is applied per GEMM slice exactly
- * like the NCHW engine — outputs are bit-identical to it (and to
- * forwardInt8Reference on the fully integer path).
+ * place, the per-tap widening GEMM runs the int16 (or VNNI u8)
+ * c-block kernel, the tap-wise S_BG rescale is applied per GEMM
+ * slice, and the fused output transform dequantizes. Outputs agree
+ * with the IntWinogradConv oracle within a relative 1e-9 (and are
+ * bit-identical to forwardInt8Reference on the fully integer path).
  */
 class WinogradBlockedInt8Backend : public ConvBackend
 {
@@ -415,7 +415,6 @@ class WinogradBlockedInt8Backend : public ConvBackend
         prep->narrowed8 = layerSlot("winoc8i.U8", desc.name);
         prep->gemm = layerSlot("winoc8i.M", desc.name);
         prep->dequant = layerSlot("winoc8i.Md", desc.name);
-        prep->back = layerSlot("winoc8i.Y", desc.name);
         prep->bias8 = blockedBias<double>(
             epilogueBias(build.epilogue, desc));
         prep->relu = build.epilogue.relu;
@@ -459,9 +458,6 @@ class WinogradBlockedInt8Backend : public ConvBackend
         TensorD &Md = scratch.tensor(
             p.dequant,
             {tt, p.blocked->coutb(), d.tiles, kLayoutBlock});
-        TensorD &Y = scratch.tensor(
-            p.back,
-            {d.m * d.m, p.blocked->coutb(), d.tiles, kLayoutBlock});
         // Physical MACs: the padded lanes compute too.
         const double macs =
             static_cast<double>(tt) *
@@ -469,7 +465,7 @@ class WinogradBlockedInt8Backend : public ConvBackend
             static_cast<double>(p.blocked->cinb() * kLayoutBlock) *
             static_cast<double>(d.tiles);
         p.blocked->forwardInto(
-            input, xq, U32, U16, U8, M, Md, Y, out,
+            input, xq, U32, U16, U8, M, Md, out,
             ctx.runnerFor(macs),
             p.bias8.empty() ? nullptr : p.bias8.data(), p.relu);
     }

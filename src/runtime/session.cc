@@ -114,7 +114,188 @@ applyEpilogueBlocked(TensorD &t, std::size_t cout, const Epilogue &e)
         }
 }
 
+/** The activation layouts an engine's backend consumes and produces. */
+LayoutPlan
+layoutOf(ConvEngine e)
+{
+    const std::shared_ptr<const ConvBackend> b =
+        EngineRegistry::instance().get(e);
+    return {b->inputLayout(), b->outputLayout()};
+}
+
+/**
+ * Best-of-3 wall time of `fn`, in ns — the seam conversion probe.
+ */
+template <typename Fn>
+std::uint64_t
+timeConvNs(Fn &&fn)
+{
+    using clock = std::chrono::steady_clock;
+    std::uint64_t best = ~std::uint64_t{0};
+    for (int r = 0; r < 3; ++r) {
+        const auto t0 = clock::now();
+        fn();
+        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            clock::now() - t0)
+                            .count();
+        best = std::min(best, static_cast<std::uint64_t>(ns));
+    }
+    return best;
+}
+
+/**
+ * Race one layer's candidates on `probe` and return the measured
+ * table in race order (row i is `cands[i]` with its best probe time
+ * and the counters of that round). Every candidate is prepared here
+ * and dropped once timed: the race measures, it does not decide.
+ *
+ * Blocked candidates are timed on a blocked probe — the steady-state
+ * input layout propagation hands them inside a blocked chain — and
+ * f16 candidates on their native binary16 hot path with a
+ * pre-narrowed probe, symmetric with that: boundary conversions are
+ * a seam cost the planner charges, not part of the layer.
+ */
+template <typename PrepareFn>
+std::vector<PlanRow>
+raceCandidates(const std::vector<PlanRow> &cands, const TensorD &probe,
+               PrepareFn &&prepareFor)
+{
+    std::vector<std::shared_ptr<const ConvBackend>> backends;
+    std::vector<std::shared_ptr<const PreparedLayer>> prepared;
+    for (const PlanRow &c : cands) {
+        backends.push_back(EngineRegistry::instance().get(c.engine));
+        prepared.push_back(prepareFor(*backends.back(), c.variant));
+        twq_assert(prepared.back(), "backend returned no prepared state");
+    }
+
+    TensorD probeBlocked;
+    TensorF16 probeHalf;
+    ScratchArena probeArena;
+    const auto probeFor = [&](const ConvBackend &b) -> const TensorD & {
+        if (b.inputLayout() != ActLayout::NCHWc8)
+            return probe;
+        if (probeBlocked.numel() == 0) {
+            probeBlocked = TensorD(blockedShape(probe.shape()));
+            nchwToBlocked(probe, probeBlocked);
+        }
+        return probeBlocked;
+    };
+    const auto timeCand = [&](std::size_t ci) {
+        const ConvBackend &b = *backends[ci];
+        if (!b.f16Storage())
+            return timeBackendRun(b, *prepared[ci], probeFor(b),
+                                  probeArena, 1);
+        if (probeHalf.numel() == 0) {
+            const TensorD &pb = probeFor(b);
+            probeHalf = TensorF16(pb.shape());
+            tensorDToF16(pb, probeHalf);
+        }
+        return timeBackendRunF16(b, *prepared[ci], probeHalf,
+                                 probeArena, 1);
+    };
+
+    // Interleaved best-of rounds: timing the candidates back-to-back
+    // would hand the last one warmed caches and a ramped-up clock;
+    // round-robin rounds spread those drifts symmetrically, and each
+    // candidate keeps its best round (timeBackendRun additionally
+    // precedes every timed run with an untimed warmup). Hardware
+    // counters ride each probe run (a cheap reset/enable ioctl pair
+    // when available, a no-op otherwise); each candidate keeps the
+    // counters of its best-time round, so the persisted provenance
+    // describes the run that actually won.
+    std::vector<double> bestT(cands.size(),
+                              std::numeric_limits<double>::infinity());
+    std::vector<PlanRow> rows = cands;
+    for (int round = 0; round < 3; ++round)
+        for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+            TWQ_SPAN_ARG("autoselect.probe",
+                         static_cast<std::int64_t>(ci));
+            obs::PerfScope perf;
+            const double t = timeCand(ci);
+            const obs::PerfCounters pc = perf.stop();
+            if (t < bestT[ci]) {
+                bestT[ci] = t;
+                rows[ci].counters = pc;
+            }
+        }
+    for (std::size_t ci = 0; ci < rows.size(); ++ci)
+        rows[ci].ns =
+            bestT[ci] < std::numeric_limits<double>::infinity()
+                ? static_cast<std::uint64_t>(bestT[ci] * 1e9)
+                : 0;
+    return rows;
+}
+
 } // namespace
+
+std::vector<std::size_t>
+planChain(const std::vector<std::vector<PlanRow>> &rows,
+          const std::vector<SeamCosts> &seams)
+{
+    const std::size_t L = rows.size();
+    twq_assert(seams.size() == L, "planChain needs one seam record per "
+                                  "layer");
+    // Seam cost at boundary i (between layers i-1 and i; boundary 0
+    // is the chain ingress, boundary L the egress). The boundary is
+    // one shape, so prefer the upstream layer's output-shape
+    // measurement and borrow the downstream layer's input-shape one
+    // when the upstream never measured.
+    const auto seam = [&](std::size_t i, ActLayout prod,
+                          ActLayout cons) -> double {
+        if (prod == cons)
+            return 0.0;
+        const SeamCosts *up = i > 0 ? &seams[i - 1] : nullptr;
+        const SeamCosts *dn = i < L ? &seams[i] : nullptr;
+        if (up && (up->outToBlockedNs != 0 || up->outToNchwNs != 0))
+            return static_cast<double>(cons == ActLayout::NCHWc8
+                                           ? up->outToBlockedNs
+                                           : up->outToNchwNs);
+        if (!dn)
+            return 0.0;
+        return static_cast<double>(cons == ActLayout::NCHWc8
+                                       ? dn->inToBlockedNs
+                                       : dn->inToNchwNs);
+    };
+    // Viterbi over the layers between a virtual NCHW ingress node and
+    // a virtual NCHW egress node (step L). `cost[b]` is the cheapest
+    // chain prefix ending in row b of the current step; strict `<`
+    // keeps the first row on exact ties. Costs are integral ns, so
+    // the sums are exact and zero seams reduce to per-layer argmin.
+    std::vector<double> cost{0.0};
+    std::vector<ActLayout> outs{ActLayout::NCHW};
+    std::vector<std::vector<std::size_t>> from(L + 1);
+    for (std::size_t i = 0; i <= L; ++i) {
+        const std::size_t n = i < L ? rows[i].size() : 1;
+        twq_assert(n > 0, "planChain: empty candidate table");
+        std::vector<double> next(n);
+        std::vector<ActLayout> nextOuts(n, ActLayout::NCHW);
+        from[i].resize(n);
+        for (std::size_t b = 0; b < n; ++b) {
+            const ActLayout in =
+                i < L ? rows[i][b].layout.in : ActLayout::NCHW;
+            double best = std::numeric_limits<double>::infinity();
+            for (std::size_t a = 0; a < cost.size(); ++a) {
+                const double t = cost[a] + seam(i, outs[a], in);
+                if (t < best) {
+                    best = t;
+                    from[i][b] = a;
+                }
+            }
+            next[b] = best;
+            if (i < L) {
+                next[b] += static_cast<double>(rows[i][b].ns);
+                nextOuts[b] = rows[i][b].layout.out;
+            }
+        }
+        cost = std::move(next);
+        outs = std::move(nextOuts);
+    }
+    std::vector<std::size_t> pick(L);
+    std::size_t b = 0;
+    for (std::size_t i = L; i > 0; --i)
+        pick[i - 1] = b = from[i][b];
+    return pick;
+}
 
 Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
     : net_(net), cfg_(cfg)
@@ -137,7 +318,11 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
 
     inputShape_ = {1, descs[0].cin, descs[0].height, descs[0].width};
 
-    // Pass 1: validate the chain, draw weights, resolve engines.
+    // The build runs in three phases. Tables: validate the chain,
+    // draw weights, resolve each layer's configured engine, propagate
+    // calibration, and produce one candidate table per layer (a
+    // single fixed row, cached rows, or a live race). Plan: one pure
+    // planChain() over all tables. Prepare: each layer's pick, once.
     const EngineRegistry &registry = EngineRegistry::instance();
     std::size_t c = descs[0].cin;
     std::size_t h = descs[0].height;
@@ -177,17 +362,14 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
             pinned[i] = true;
             layer.planSource = "configured";
         }
-        std::shared_ptr<const ConvBackend> backend = registry.get(engine);
-        if (!backend->supports(d)) {
+        if (!registry.get(engine)->supports(d)) {
             twq_warn("engine ", convEngineName(engine),
                      " does not support layer ", d.name,
                      "; falling back to im2col");
             engine = ConvEngine::Im2col;
-            backend = registry.get(engine);
         }
         layer.engine = engine;
         layer.variant = cfg.variant;
-        layer.backend = std::move(backend);
         // The epilogue's bias is seeded by the Bias node's position in
         // the SOURCE chain (like conv weights by theirs), so it is
         // identical however the plan groups the nodes.
@@ -218,14 +400,14 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         w = d.outWidth();
     }
     outputShape_ = {1, c, h, w};
+    const std::size_t L = layers_.size();
 
-    // Pass 2: propagate calibration activations layer by layer (the
-    // int8 engine calibrates its scales on the activations this layer
-    // actually sees) and run each backend's one-time prepare(). The
-    // calibration forward pass is only paid up to the last int8
-    // layer; a session with none skips it entirely.
+    // Calibration activations propagate layer by layer (the int8
+    // engines calibrate their scales on the activations the layer
+    // actually sees). The forward pass is only paid up to the last
+    // int8 layer; a session with none skips it entirely.
     std::size_t calEnd = 0;
-    for (std::size_t i = 0; i < layers_.size(); ++i)
+    for (std::size_t i = 0; i < L; ++i)
         if (layers_[i].engine == ConvEngine::WinogradBlockedInt8 ||
             layers_[i].engine == ConvEngine::Im2colInt8)
             calEnd = i + 1;
@@ -236,6 +418,31 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                        inputShape_[1], inputShape_[2], inputShape_[3]});
         calRng.fillNormal(cal.storage(), 0.0, 1.0);
     }
+    // Each layer's calibration set and shared calibration statistics
+    // live for the whole build, so the race's candidates and the
+    // final prepare hit the same cached passes: autoSelect races up
+    // to three quantized candidates, and without the cache each one
+    // would redo the abs-max, fake-quantization, and tap-maxima
+    // passes over the same set. Results are bit-identical with or
+    // without it.
+    std::vector<std::vector<TensorD>> calSets(L);
+    std::vector<std::unique_ptr<CalibrationCache>> calCaches(L);
+    const auto buildFor = [&](std::size_t i, WinoVariant v) {
+        LayerBuild build;
+        build.params = layers_[i].params;
+        build.variant = v;
+        build.quant = cfg.quant;
+        // Fused sessions fold the planned epilogue into the engine's
+        // output write; unfused ones keep the prepared state
+        // epilogue-free and pay the separate passes in runInto.
+        if (cfg.fuseEpilogues)
+            build.epilogue = layers_[i].epilogue;
+        if (calCaches[i]) {
+            build.calibration = &calSets[i];
+            build.calCache = calCaches[i].get();
+        }
+        return build;
+    };
 
     // Plan cache resolution: a configured path loads before the build
     // (a missing, malformed, or stale-signature file simply re-probes)
@@ -250,102 +457,40 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
     }
     const std::uint64_t cacheRev0 = cache ? cache->revision() : 0;
 
-    // Selection state retained across the layer loop for the
-    // chain-aware layout DP: each raced layer's measured candidate
-    // table, the NCHW↔NCHWc8 conversion costs at its boundary
-    // shapes, and the calibration set needed to re-prepare a layer
-    // when the joint plan overrides its per-layer argmin.
-    struct PlanState
-    {
-        bool raced = false;
-        std::vector<PlanCache::Cand> cands;
-        std::uint64_t inToBlockedNs = 0;
-        std::uint64_t inToNchwNs = 0;
-        std::uint64_t outToBlockedNs = 0;
-        std::uint64_t outToNchwNs = 0;
-        std::vector<TensorD> calSet;
-        /// The race's shared calibration statistics, kept alive so a
-        /// DP re-prepare hits the same cached passes instead of
-        /// recomputing them (points into calSet above — stable, the
-        /// plans vector is never resized).
-        std::unique_ptr<CalibrationCache> calCache;
-    };
-    std::vector<PlanState> plans(layers_.size());
-
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
+    // Phase 1, tables. Row 0 is always the configured (engine,
+    // variant), so it wins exact ties. ConvEngine-auto policy: a
+    // raced layer's table holds every candidate of its family — FP
+    // Winograd layers race im2col and every Winograd variant
+    // (F2/F4/F6) of the NCHW and NCHWc8-blocked FP backends;
+    // quantized Winograd layers race the quantized counterparts
+    // (blocked int-winograd — variants clamped by the bitwidth
+    // model's int8 eligibility gate, which excludes F6 — and
+    // im2col-int8), never an FP engine, which would silently drop the
+    // quantization the config asked for. Ineligible layers never
+    // reach the race with a raceable engine, so they always stay on
+    // their fallback. A plan-cache hit supplies a previously measured
+    // table (and seam costs) without re-running the probe.
+    std::vector<std::vector<PlanRow>> rows(L);
+    std::vector<SeamCosts> seams(L);
+    for (std::size_t i = 0; i < L; ++i) {
         Layer &layer = layers_[i];
+        if (i < calEnd) {
+            calSets[i].push_back(cal);
+            calCaches[i] = std::make_unique<CalibrationCache>(&calSets[i]);
+        }
+        rows[i] = {{layer.engine, layer.variant, 0,
+                    layoutOf(layer.engine), {}}};
 
-        // ConvEngine-auto policy membership: raced layers start on
-        // the configured engine and variant, which is prepared first
-        // and wins exact ties; the race measures the full set.
         const bool fpRace =
             layer.engine == ConvEngine::WinogradFp32 ||
             layer.engine == ConvEngine::WinogradBlocked;
         const bool quantRace =
             layer.engine == ConvEngine::WinogradBlockedInt8;
-        const bool raced =
-            cfg.autoSelect && !pinned[i] && (fpRace || quantRace);
-
-        LayerBuild build;
-        build.params = layer.params;
-        build.variant = layer.variant;
-        build.quant = cfg.quant;
-        // Fused sessions fold the planned epilogue into the engine's
-        // output write; unfused ones keep prepare() epilogue-free and
-        // pay the separate passes in runInto.
-        if (cfg.fuseEpilogues)
-            build.epilogue = layer.epilogue;
-        if (cfg.fuseEpilogues && layer.epilogue.active())
-            obs::Registry::global()
-                .counter("session.fused_epilogues")
-                .inc();
-        // The calibration set lives in the plan state (not a loop
-        // local) so the chain DP can re-prepare a quantized layer
-        // after the loop has propagated `cal` past it.
-        std::vector<TensorD> &calSet = plans[i].calSet;
-        // Shared calibration statistics for every prepare() of this
-        // layer: autoSelect races up to three quantized candidates,
-        // and without the cache each one would redo the abs-max,
-        // fake-quantization, and tap-maxima passes over the same
-        // calibration set (~7 passes per layer instead of 4).
-        // Results are bit-identical with or without it.
-        plans[i].calCache = std::make_unique<CalibrationCache>(&calSet);
-        CalibrationCache &layerCal = *plans[i].calCache;
-        if (i < calEnd) {
-            calSet.push_back(cal);
-            build.calibration = &calSet;
-            build.calCache = &layerCal;
-        }
-        layer.prepared =
-            layer.backend->prepare(layer.desc, weights[i], build);
-        twq_assert(layer.prepared, "backend returned no prepared state");
-
-        // ConvEngine-auto policy: race this layer's assigned engine
-        // against the rest of its candidate set, keeping the fastest
-        // measured candidate — the policy picks engine, Winograd
-        // variant and activation layout together. FP Winograd layers
-        // race im2col and every Winograd variant (F2/F4/F6) of the
-        // NCHW and NCHWc8-blocked FP backends; quantized Winograd
-        // layers race the quantized counterparts (blocked
-        // int-winograd — variants clamped by the bitwidth model's
-        // int8 eligibility gate, which excludes F6 — and
-        // im2col-int8), never an FP engine, which would silently
-        // drop the quantization the config asked for. Blocked
-        // candidates are timed on a blocked probe — the steady-state
-        // input layout propagation hands them inside a blocked
-        // chain. Boundary conversions are not charged to the layer
-        // here; the probe also measures the NCHW↔NCHWc8 conversion
-        // costs at the layer's boundary shapes so the chain DP below
-        // can charge them on the seams where they actually occur.
-        // Ineligible layers never reach here with a raceable engine,
-        // so they always stay on their fallback. A plan-cache hit
-        // applies a previously measured decision (winner, candidate
-        // table, and conversion costs) without re-running the probe.
-        if (raced) {
+        if (cfg.autoSelect && !pinned[i] && (fpRace || quantRace)) {
             // The candidate set this race draws from — and the only
-            // cached decisions it will apply: a foreign or corrupted
+            // cached rows it will accept: a foreign or corrupted
             // cache entry (e.g. a quantized engine for an FP layer,
-            // whose prepare() needs calibration the FP path never
+            // whose prepare step needs calibration the FP path never
             // built) is ignored and the layer re-probed.
             const auto raceable = [&](ConvEngine e) {
                 if (fpRace)
@@ -357,8 +502,13 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                 return e == ConvEngine::Im2colInt8 ||
                        e == ConvEngine::WinogradBlockedInt8;
             };
-            bool applied = false;
+            const auto usable = [&](ConvEngine e) {
+                return raceable(e) &&
+                       registry.get(e)->supports(layer.desc);
+            };
             std::string planKey;
+            PlanCache::Decision hit;
+            bool cached = false;
             if (cache) {
                 planKey = PlanCache::layerKey(
                     layer.desc, cfg.autoSelectBatch, quantRace);
@@ -371,289 +521,132 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
                     planKey += ":fe";
                 if (fpRace && cfg.raceF16)
                     planKey += ":h";
-                PlanCache::Decision hit;
-                if (cache->lookup(planKey, &hit) &&
-                    raceable(hit.engine)) {
-                    std::shared_ptr<const ConvBackend> b =
-                        registry.get(hit.engine);
-                    if (b->supports(layer.desc)) {
-                        if (hit.engine != layer.engine ||
-                            hit.variant != layer.variant) {
-                            LayerBuild cbuild = build;
-                            cbuild.variant = hit.variant;
-                            layer.prepared = b->prepare(
-                                layer.desc, weights[i], cbuild);
-                        }
-                        layer.engine = hit.engine;
-                        layer.variant = hit.variant;
-                        layer.backend = std::move(b);
-                        // Provenance travels with the cached plan so
-                        // /statusz can show why it won even though
-                        // this process never probed.
-                        layer.planSource = "cache";
-                        layer.planProbeNs = hit.probeNs;
-                        layer.planCounters.cycles = hit.cycles;
-                        layer.planCounters.instructions =
-                            hit.instructions;
-                        layer.planCounters.cacheRefs = hit.cacheRefs;
-                        layer.planCounters.cacheMisses =
-                            hit.cacheMisses;
-                        layer.planCounters.valid =
-                            hit.cycles != 0 || hit.instructions != 0;
-                        applied = true;
-                        obs::Registry::global()
-                            .counter("autoselect.cache_hit")
-                            .inc();
-                        // A cached candidate table (and conversion
-                        // costs) re-enters the chain DP with zero
-                        // re-measurement; a winner-only entry (empty
-                        // or fully filtered table) is adopted
-                        // verbatim and stays fixed in the DP.
-                        plans[i].inToBlockedNs = hit.inToBlockedNs;
-                        plans[i].inToNchwNs = hit.inToNchwNs;
-                        plans[i].outToBlockedNs = hit.outToBlockedNs;
-                        plans[i].outToNchwNs = hit.outToNchwNs;
-                        for (const PlanCache::Cand &cc : hit.table)
-                            if (raceable(cc.engine) &&
-                                registry.get(cc.engine)
-                                    ->supports(layer.desc))
-                                plans[i].cands.push_back(cc);
-                        plans[i].raced = plans[i].cands.size() > 1;
-                    }
-                }
+                cached = cache->lookup(planKey, &hit) &&
+                         usable(hit.engine);
             }
-            if (!applied) {
+            if (cached) {
+                // The cached table re-enters the planner with zero
+                // re-measurement; a winner-only entry (empty or
+                // fully filtered table) is adopted verbatim as a
+                // fixed row. Provenance travels with the cached
+                // winner so /statusz can show why it won even though
+                // this process never probed.
+                obs::Registry::global().counter("autoselect.cache_hit").inc();
+                layer.planSource = "cache";
+                rows[i].clear();
+                for (const PlanCache::Cand &cc : hit.table)
+                    if (usable(cc.engine))
+                        rows[i].push_back({cc.engine, cc.variant, cc.ns,
+                                           layoutOf(cc.engine), {}});
+                if (rows[i].size() <= 1)
+                    rows[i] = {{hit.engine, hit.variant, hit.probeNs,
+                                layoutOf(hit.engine), {}}};
+                for (PlanRow &r : rows[i])
+                    if (r.engine == hit.engine && r.variant == hit.variant) {
+                        r.counters.cycles = hit.cycles;
+                        r.counters.instructions = hit.instructions;
+                        r.counters.cacheRefs = hit.cacheRefs;
+                        r.counters.cacheMisses = hit.cacheMisses;
+                        r.counters.valid =
+                            hit.cycles != 0 || hit.instructions != 0;
+                    }
+                seams[i] = {hit.inToBlockedNs, hit.inToNchwNs,
+                            hit.outToBlockedNs, hit.outToNchwNs};
+            } else {
                 // Counts probed layers (cache misses, stale entries
-                // the raceable() guard rejected, and cacheless
-                // builds alike).
-                obs::Registry::global()
-                    .counter("autoselect.cache_miss")
-                    .inc();
+                // the usable() guard rejected, and cacheless builds
+                // alike).
+                obs::Registry::global().counter("autoselect.cache_miss").inc();
                 // The contract a tuned plan cache is judged by: one
                 // tick per layer whose candidate race actually ran
                 // in this process. A cold build against a fully
                 // tuned cache reads zero here.
                 obs::Registry::global().counter("plan.probes").inc();
-                TensorD probe(
-                    {std::max<std::size_t>(cfg.autoSelectBatch, 1),
-                     layer.desc.cin, layer.desc.height,
-                     layer.desc.width});
-                Rng probeRng(cfg.calibrationSeed ^ (0x9e3779b9ull + i));
-                probeRng.fillNormal(probe.storage(), 0.0, 1.0);
-                TensorD probeBlocked;
-                ScratchArena probeArena;
-
-                struct Candidate
-                {
-                    ConvEngine engine;
-                    WinoVariant variant;
-                    std::shared_ptr<const ConvBackend> backend;
-                    std::shared_ptr<const PreparedLayer> prepared;
-                };
-                std::vector<Candidate> cands;
-                cands.push_back({layer.engine, layer.variant,
-                                 layer.backend, layer.prepared});
-                const auto addCandidate = [&](ConvEngine e,
-                                              WinoVariant v) {
-                    if (e == cands[0].engine && v == cands[0].variant)
-                        return; // already racing as the incumbent
-                    Candidate c;
-                    c.engine = e;
-                    c.variant = v;
-                    c.backend = registry.get(e);
-                    LayerBuild vbuild = build;
-                    vbuild.variant = v;
-                    c.prepared = c.backend->prepare(layer.desc,
-                                                    weights[i], vbuild);
-                    cands.push_back(std::move(c));
+                layer.planSource = "probed";
+                const auto addCandidate = [&](ConvEngine e, WinoVariant v) {
+                    if (e == rows[i][0].engine && v == rows[i][0].variant)
+                        return; // already racing as the configured row
+                    rows[i].push_back({e, v, 0, layoutOf(e), {}});
                 };
                 if (fpRace) {
                     for (WinoVariant v : kAllWinoVariants) {
                         addCandidate(ConvEngine::WinogradFp32, v);
                         addCandidate(ConvEngine::WinogradBlocked, v);
                         if (cfg.raceF16)
-                            addCandidate(
-                                ConvEngine::WinogradBlockedF16, v);
+                            addCandidate(ConvEngine::WinogradBlockedF16, v);
                     }
                     addCandidate(ConvEngine::Im2col, cfg.variant);
                 } else {
                     // Variants outside the bitwidth model's int8
                     // envelope (F6 always — its transforms are not
                     // integer) never enter the quantized race.
-                    for (WinoVariant v : kAllWinoVariants) {
-                        if (!winoInt8Eligible(v,
-                                              cfg.quant.winogradBits,
-                                              layer.desc.cin))
-                            continue;
-                        addCandidate(ConvEngine::WinogradBlockedInt8,
-                                     v);
-                    }
-                    addCandidate(ConvEngine::Im2colInt8,
-                                 cfg.variant);
+                    for (WinoVariant v : kAllWinoVariants)
+                        if (winoInt8Eligible(v, cfg.quant.winogradBits,
+                                             layer.desc.cin))
+                            addCandidate(ConvEngine::WinogradBlockedInt8, v);
+                    addCandidate(ConvEngine::Im2colInt8, cfg.variant);
                 }
 
-                const auto probeFor =
-                    [&](const Candidate &c) -> const TensorD * {
-                    if (c.backend->inputLayout() != ActLayout::NCHWc8)
-                        return &probe;
-                    if (probeBlocked.numel() == 0) {
-                        probeBlocked =
-                            TensorD(blockedShape(probe.shape()));
-                        nchwToBlocked(probe, probeBlocked);
-                    }
-                    return &probeBlocked;
-                };
-                // f16 candidates are timed on their native binary16
-                // hot path with a pre-narrowed probe — symmetric with
-                // blocked candidates getting a blocked probe: steady-
-                // state layout/storage propagation hands them halves
-                // inside an f16 chain, and boundary conversions are
-                // a seam cost not charged to the layer.
-                TensorF16 probeHalf;
-                const auto timeCand = [&](const Candidate &c,
-                                          ScratchArena &arena) {
-                    if (!c.backend->f16Storage())
-                        return timeBackendRun(*c.backend, *c.prepared,
-                                              *probeFor(c), arena, 1);
-                    if (probeHalf.numel() == 0) {
-                        const TensorD *pb = probeFor(c);
-                        probeHalf = TensorF16(pb->shape());
-                        tensorDToF16(*pb, probeHalf);
-                    }
-                    return timeBackendRunF16(*c.backend, *c.prepared,
-                                             probeHalf, arena, 1);
-                };
-                // Interleaved best-of rounds: timing the candidates
-                // back-to-back would hand the last one warmed caches
-                // and a ramped-up clock; round-robin rounds spread
-                // those drifts symmetrically, and each candidate
-                // keeps its best round (timeBackendRun additionally
-                // precedes every timed run with an untimed warmup).
-                std::vector<double> bestT(
-                    cands.size(),
-                    std::numeric_limits<double>::infinity());
-                // Hardware counters ride each probe run (a cheap
-                // reset/enable ioctl pair when available, a no-op
-                // otherwise); each candidate keeps the counters of
-                // its best-time round, so the persisted provenance
-                // describes the run that actually won.
-                std::vector<obs::PerfCounters> bestC(cands.size());
-                for (int round = 0; round < 3; ++round)
-                    for (std::size_t ci = 0; ci < cands.size();
-                         ++ci) {
-                        TWQ_SPAN_ARG(
-                            "autoselect.probe",
-                            static_cast<std::int64_t>(ci));
-                        obs::PerfScope perf;
-                        const double t =
-                            timeCand(cands[ci], probeArena);
-                        const obs::PerfCounters pc = perf.stop();
-                        if (t < bestT[ci]) {
-                            bestT[ci] = t;
-                            bestC[ci] = pc;
-                        }
-                    }
-                std::size_t best = 0;
-                for (std::size_t ci = 1; ci < cands.size(); ++ci)
-                    if (bestT[ci] < bestT[best])
-                        best = ci;
-                obs::traceInstant("autoselect.pick",
-                                  static_cast<std::int64_t>(best));
-                layer.engine = cands[best].engine;
-                layer.variant = cands[best].variant;
-                layer.backend = std::move(cands[best].backend);
-                layer.prepared = std::move(cands[best].prepared);
-                layer.planSource = "probed";
-                layer.planProbeNs =
-                    bestT[best] <
-                            std::numeric_limits<double>::infinity()
-                        ? static_cast<std::uint64_t>(bestT[best] *
-                                                     1e9)
-                        : 0;
-                layer.planCounters = bestC[best];
+                TensorD probe({std::max<std::size_t>(cfg.autoSelectBatch, 1),
+                               layer.desc.cin, layer.desc.height,
+                               layer.desc.width});
+                Rng probeRng(cfg.calibrationSeed ^ (0x9e3779b9ull + i));
+                probeRng.fillNormal(probe.storage(), 0.0, 1.0);
+                rows[i] = raceCandidates(
+                    rows[i], probe,
+                    [&](const ConvBackend &b, WinoVariant v) {
+                        return b.prepare(layer.desc, weights[i],
+                                         buildFor(i, v));
+                    });
 
-                // Record the full table for the chain DP (and the
-                // cache): every candidate with its best round, in
-                // race order.
-                plans[i].raced = cands.size() > 1;
-                for (std::size_t ci = 0; ci < cands.size(); ++ci)
-                    plans[i].cands.push_back(
-                        {cands[ci].engine, cands[ci].variant,
-                         bestT[ci] <
-                                 std::numeric_limits<
-                                     double>::infinity()
-                             ? static_cast<std::uint64_t>(
-                                   bestT[ci] * 1e9)
-                             : 0});
-
-                // Seam conversion costs on the same probe data
-                // (best of 3): NCHW↔NCHWc8 at the input shape and at
-                // the output shape. The chain DP charges these
-                // wherever adjacent picks disagree on layout; the
-                // boundary between two layers is one shape, so a
-                // neighbor missing its own measurement borrows this
-                // one.
-                const auto timeConvNs = [](auto &&fn) {
-                    using clock = std::chrono::steady_clock;
-                    std::uint64_t best = ~std::uint64_t{0};
-                    for (int r = 0; r < 3; ++r) {
-                        const auto t0 = clock::now();
-                        fn();
-                        const auto t1 = clock::now();
-                        best = std::min(
-                            best,
-                            static_cast<std::uint64_t>(
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(t1 - t0)
-                                    .count()));
-                    }
-                    return best;
-                };
+                // Seam conversion costs on the same probe data:
+                // NCHW↔NCHWc8 at the input shape and at the output
+                // shape, charged by the planner wherever adjacent
+                // picks disagree on layout.
                 TensorD cvtBlocked(blockedShape(probe.shape()));
                 TensorD cvtNchw(probe.shape());
-                plans[i].inToBlockedNs = timeConvNs(
+                seams[i].inToBlockedNs = timeConvNs(
                     [&] { nchwToBlocked(probe, cvtBlocked); });
-                plans[i].inToNchwNs = timeConvNs(
+                seams[i].inToNchwNs = timeConvNs(
                     [&] { blockedToNchw(cvtBlocked, cvtNchw); });
                 TensorD outNchw(
-                    {std::max<std::size_t>(cfg.autoSelectBatch, 1),
-                     layer.desc.cout, layer.desc.outHeight(),
+                    {probe.dim(0), layer.desc.cout, layer.desc.outHeight(),
                      layer.desc.outWidth()});
                 probeRng.fillNormal(outNchw.storage(), 0.0, 1.0);
                 TensorD outBlocked(blockedShape(outNchw.shape()));
-                plans[i].outToBlockedNs = timeConvNs(
+                seams[i].outToBlockedNs = timeConvNs(
                     [&] { nchwToBlocked(outNchw, outBlocked); });
-                plans[i].outToNchwNs = timeConvNs(
+                seams[i].outToNchwNs = timeConvNs(
                     [&] { blockedToNchw(outBlocked, outNchw); });
 
+                // The stored winner is this table's argmin — exactly
+                // the row a zero-seam plan picks for the layer.
+                const std::size_t best =
+                    planChain({rows[i]}, {SeamCosts{}})[0];
+                obs::traceInstant("autoselect.pick",
+                                  static_cast<std::int64_t>(best));
+                const PlanRow &win = rows[i][best];
                 if (cache) {
                     PlanCache::Decision d;
-                    d.engine = layer.engine;
-                    d.variant = layer.variant;
-                    d.probeNs = layer.planProbeNs;
-                    if (layer.planCounters.valid) {
-                        d.cycles = layer.planCounters.cycles;
-                        d.instructions =
-                            layer.planCounters.instructions;
-                        d.cacheRefs = layer.planCounters.cacheRefs;
-                        d.cacheMisses =
-                            layer.planCounters.cacheMisses;
+                    d.engine = win.engine;
+                    d.variant = win.variant;
+                    d.probeNs = win.ns;
+                    if (win.counters.valid) {
+                        d.cycles = win.counters.cycles;
+                        d.instructions = win.counters.instructions;
+                        d.cacheRefs = win.counters.cacheRefs;
+                        d.cacheMisses = win.counters.cacheMisses;
                     }
-                    d.inToBlockedNs = plans[i].inToBlockedNs;
-                    d.inToNchwNs = plans[i].inToNchwNs;
-                    d.outToBlockedNs = plans[i].outToBlockedNs;
-                    d.outToNchwNs = plans[i].outToNchwNs;
-                    d.table = plans[i].cands;
+                    d.inToBlockedNs = seams[i].inToBlockedNs;
+                    d.inToNchwNs = seams[i].inToNchwNs;
+                    d.outToBlockedNs = seams[i].outToBlockedNs;
+                    d.outToNchwNs = seams[i].outToNchwNs;
+                    for (const PlanRow &r : rows[i])
+                        d.table.push_back({r.engine, r.variant, r.ns});
                     cache->store(planKey, d);
                 }
             }
         }
-
-        // Layout plan: read the final backend's contract once; the
-        // serving loop converts only where consecutive layers
-        // disagree.
-        layer.layout = {layer.backend->inputLayout(),
-                        layer.backend->outputLayout()};
 
         if (i + 1 < calEnd) {
             cal = conv2dIm2col(cal, weights[i], layer.params);
@@ -664,155 +657,37 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
         }
     }
 
-    // Chain-aware layout planning: the per-layer argmin applied above
-    // is blind to seams — a blocked candidate that wins its layer by
-    // less than the NCHW↔NCHWc8 conversions it forces on its
-    // neighbors loses net. Re-decide the raced layers jointly with a
-    // Viterbi pass over the measured candidate tables: node cost is
-    // the candidate's probe time, edge cost the measured conversion
-    // at the boundary shape wherever consecutive picks disagree on
-    // layout, plus chain ingress/egress (the session's outer contract
-    // is NCHW on both ends). Fixed layers (pinned, non-raced,
-    // winner-only cache entries) participate as single-candidate
-    // nodes so their layout still shapes the seams around them.
-    // Everything here is arithmetic over numbers already measured —
-    // a fully cached build decides the whole chain without a single
-    // timed run. (The f16 engine's widen/narrow storage seam is not
-    // modeled; it rides the blocked layout.)
-    if (cfg.autoSelect && cfg.chainDp && !layers_.empty()) {
-        struct Node
-        {
-            ConvEngine engine;
-            WinoVariant variant;
-            double ns;
-            ActLayout in;
-            ActLayout out;
-        };
-        const std::size_t L = layers_.size();
-        std::vector<std::vector<Node>> nodes(L);
-        for (std::size_t i = 0; i < L; ++i) {
-            if (plans[i].raced) {
-                for (const PlanCache::Cand &c : plans[i].cands) {
-                    const ConvBackend &b = *registry.get(c.engine);
-                    nodes[i].push_back(
-                        {c.engine, c.variant,
-                         static_cast<double>(c.ns), b.inputLayout(),
-                         b.outputLayout()});
-                }
-            } else {
-                nodes[i].push_back({layers_[i].engine,
-                                    layers_[i].variant, 0.0,
-                                    layers_[i].backend->inputLayout(),
-                                    layers_[i].backend->outputLayout()});
-            }
-        }
-        // The boundary between layers i-1 and i is one shape (i-1's
-        // output is i's input), so prefer the upstream layer's
-        // output-shape measurement and borrow the downstream layer's
-        // input-shape one when the upstream never measured.
-        const auto seam = [&](std::size_t i, ActLayout prod,
-                              ActLayout cons) -> double {
-            if (prod == cons)
-                return 0.0;
-            const PlanState &up = plans[i - 1];
-            const PlanState &dn = plans[i];
-            const bool useUp =
-                up.outToBlockedNs != 0 || up.outToNchwNs != 0;
-            const std::uint64_t c =
-                cons == ActLayout::NCHWc8
-                    ? (useUp ? up.outToBlockedNs : dn.inToBlockedNs)
-                    : (useUp ? up.outToNchwNs : dn.inToNchwNs);
-            return static_cast<double>(c);
-        };
-        std::vector<std::vector<double>> cost(L);
-        std::vector<std::vector<std::size_t>> from(L);
-        for (std::size_t b = 0; b < nodes[0].size(); ++b) {
-            const Node &n = nodes[0][b];
-            cost[0].push_back(
-                n.ns + (n.in == ActLayout::NCHWc8
-                            ? static_cast<double>(
-                                  plans[0].inToBlockedNs)
-                            : 0.0));
-            from[0].push_back(0);
-        }
-        for (std::size_t i = 1; i < L; ++i) {
-            for (std::size_t b = 0; b < nodes[i].size(); ++b) {
-                const Node &n = nodes[i][b];
-                double bestCost =
-                    std::numeric_limits<double>::infinity();
-                std::size_t bestFrom = 0;
-                for (std::size_t a = 0; a < nodes[i - 1].size();
-                     ++a) {
-                    const double t = cost[i - 1][a] +
-                                     seam(i, nodes[i - 1][a].out,
-                                          n.in);
-                    if (t < bestCost) {
-                        bestCost = t;
-                        bestFrom = a;
-                    }
-                }
-                cost[i].push_back(bestCost + n.ns);
-                from[i].push_back(bestFrom);
-            }
-        }
-        std::size_t pickLast = 0;
-        double bestTotal = std::numeric_limits<double>::infinity();
-        for (std::size_t b = 0; b < nodes[L - 1].size(); ++b) {
-            const double t =
-                cost[L - 1][b] +
-                (nodes[L - 1][b].out == ActLayout::NCHWc8
-                     ? static_cast<double>(plans[L - 1].outToNchwNs)
-                     : 0.0);
-            if (t < bestTotal) {
-                bestTotal = t;
-                pickLast = b;
-            }
-        }
-        std::vector<std::size_t> pick(L, 0);
-        pick[L - 1] = pickLast;
-        for (std::size_t i = L - 1; i > 0; --i)
-            pick[i - 1] = from[i][pick[i]];
-        for (std::size_t i = 0; i < L; ++i) {
-            if (!plans[i].raced)
-                continue;
-            const Node &n = nodes[i][pick[i]];
-            Layer &layer = layers_[i];
-            if (n.engine == layer.engine &&
-                n.variant == layer.variant)
-                continue;
-            // The joint plan overrode this layer's local argmin:
-            // re-prepare the chosen candidate from the retained
-            // build materials. planSource stays what decided the
-            // table ("probed"/"cache") — no new measurement ran.
+    // Phase 2, plan: one Viterbi pass over every table. Fixed layers
+    // (pinned, non-raced, winner-only cache entries) are single-row
+    // tables, so their layout still shapes the seams around them. It
+    // is arithmetic over numbers already measured — a fully cached
+    // build decides the whole chain without a single timed run. (The
+    // f16 engine's widen/narrow storage seam is not modeled; it rides
+    // the blocked layout.)
+    const std::vector<std::size_t> picks =
+        planChain(rows, cfg.chainDp ? seams : std::vector<SeamCosts>(L));
+
+    // Phase 3, prepare: each layer's pick exactly once, from the
+    // retained build materials, with its layout contract and
+    // provenance. planSource stays what supplied the table.
+    for (std::size_t i = 0; i < L; ++i) {
+        Layer &layer = layers_[i];
+        const PlanRow &row = rows[i][picks[i]];
+        layer.engine = row.engine;
+        layer.variant = row.variant;
+        layer.backend = registry.get(row.engine);
+        layer.prepared = layer.backend->prepare(layer.desc, weights[i],
+                                                buildFor(i, row.variant));
+        twq_assert(layer.prepared, "backend returned no prepared state");
+        // The serving loop converts only where consecutive layers'
+        // layouts disagree.
+        layer.layout = row.layout;
+        layer.planProbeNs = row.ns;
+        layer.planCounters = row.counters;
+        if (cfg.fuseEpilogues && layer.epilogue.active())
             obs::Registry::global()
-                .counter("autoselect.chain_dp_override")
+                .counter("session.fused_epilogues")
                 .inc();
-            std::shared_ptr<const ConvBackend> b =
-                registry.get(n.engine);
-            LayerBuild rb;
-            rb.params = layer.params;
-            rb.variant = n.variant;
-            rb.quant = cfg.quant;
-            if (cfg.fuseEpilogues)
-                rb.epilogue = layer.epilogue;
-            if (!plans[i].calSet.empty()) {
-                rb.calibration = &plans[i].calSet;
-                rb.calCache = plans[i].calCache.get();
-            }
-            layer.prepared =
-                b->prepare(layer.desc, weights[i], rb);
-            twq_assert(layer.prepared,
-                       "backend returned no prepared state");
-            layer.engine = n.engine;
-            layer.variant = n.variant;
-            layer.backend = std::move(b);
-            layer.layout = {layer.backend->inputLayout(),
-                            layer.backend->outputLayout()};
-            layer.planProbeNs = plans[i].cands[pick[i]].ns;
-            // The provenance counters described the local winner's
-            // probe, not this pick's; drop rather than misattribute.
-            layer.planCounters = obs::PerfCounters{};
-        }
     }
 
     // Persist newly measured plans so the next build (a restarted
@@ -820,6 +695,20 @@ Session::Session(const NetworkDesc &net, const SessionConfig &cfg)
     if (cache && !cfg_.planCachePath.empty() &&
         cache->revision() != cacheRev0)
         cache->saveFile(cfg_.planCachePath);
+}
+
+bool
+samePlan(const Session &a, const Session &b)
+{
+    if (a.layerCount() != b.layerCount())
+        return false;
+    for (std::size_t i = 0; i < a.layerCount(); ++i)
+        if (a.layerEngine(i) != b.layerEngine(i) ||
+            a.layerVariant(i) != b.layerVariant(i) ||
+            a.layerLayout(i).in != b.layerLayout(i).in ||
+            a.layerLayout(i).out != b.layerLayout(i).out)
+            return false;
+    return true;
 }
 
 Session::~Session()

@@ -85,9 +85,9 @@ struct SessionConfig
      * the same way (blocked int-winograd under F2 and F4, and
      * im2col-int8 — variants clamped by the bitwidth model's int8
      * eligibility gate, which excludes F6) — never an FP engine,
-     * which would silently drop the configured quantization. Ineligible layers still always land on their
-     * im2col fallback, and explicit layerEngines overrides are
-     * honored unmeasured.
+     * which would silently drop the configured quantization.
+     * Ineligible layers still always land on their im2col fallback,
+     * and explicit layerEngines overrides are honored unmeasured.
      */
     bool autoSelect = false;
 
@@ -95,16 +95,15 @@ struct SessionConfig
     std::size_t autoSelectBatch = 8;
 
     /**
-     * Chain-aware layout planning: instead of applying each raced
-     * layer's per-layer argmin independently, run a joint dynamic
-     * program over adjacent layers' measured candidate tables whose
-     * edges charge the measured NCHW↔NCHWc8 conversion cost wherever
-     * consecutive picks disagree on layout (plus chain ingress and
-     * egress, which are NCHW on both ends). A blocked candidate that
-     * wins its layer by less than the seam it would create therefore
-     * loses the chain — the per-layer argmin's known blind spot. Off,
-     * the legacy independent argmin applies (kept for A/B
-     * benchmarking; the bench matrix reports both).
+     * The seam-cost switch of the chain planner (planChain). Every
+     * build plans all layers with one dynamic program over their
+     * candidate tables; on, its edges charge the measured NCHW↔NCHWc8
+     * conversion cost wherever consecutive picks disagree on layout
+     * (plus chain ingress and egress, which are NCHW on both ends),
+     * so a blocked candidate that wins its layer by less than the
+     * seams it would create loses the chain. Off, the seam costs are
+     * zero and every layer gets its own table's argmin — the A/B
+     * baseline the bench matrix reports next to the joint plan.
      */
     bool chainDp = true;
 
@@ -149,8 +148,10 @@ struct SessionConfig
      * loadable in chrome://tracing or Perfetto — to this path when
      * the session is destroyed. The trace carries one lane per
      * worker/dispatcher thread with per-layer stage spans (quantize,
-     * tile gather, B-kron, per-tap GEMM, rescale, untile), batching
-     * waits, pool shards, and autoSelect probe spans from the build.
+     * the blocked engines' fused input and output transforms, the
+     * NCHW Winograd engine's gather/B-kron/untile, per-tap GEMM,
+     * rescale), batching waits, pool shards, and autoSelect probe
+     * spans from the build.
      * Tracing is process-global; one traced session at a time. Empty
      * (the default) leaves tracing off, which costs one predicted
      * branch per span site.
@@ -191,6 +192,51 @@ struct LayerPlanInfo
     std::uint64_t probeNs = 0;
     obs::PerfCounters counters;
 };
+
+/**
+ * One candidate plan of a layer as planChain() sees it: a row of the
+ * layer's candidate table. `ns` is the node cost (the candidate's
+ * best probe run, measured live or read from the plan cache; 0 on a
+ * fixed single-row layer, where it cannot matter). `counters` is
+ * provenance for LayerPlanInfo only; the planner never reads it.
+ */
+struct PlanRow
+{
+    ConvEngine engine = ConvEngine::Im2col;
+    WinoVariant variant = WinoVariant::F2;
+    std::uint64_t ns = 0;
+    LayoutPlan layout;
+    obs::PerfCounters counters;
+};
+
+/**
+ * Measured NCHW↔NCHWc8 conversion costs at a layer's input and
+ * output shapes, in ns (0 = unmeasured). The boundary between layers
+ * i-1 and i is one shape, so planChain() prefers layer i-1's output
+ * measurement and borrows layer i's input one when the upstream
+ * layer measured nothing.
+ */
+struct SeamCosts
+{
+    std::uint64_t inToBlockedNs = 0;
+    std::uint64_t inToNchwNs = 0;
+    std::uint64_t outToBlockedNs = 0;
+    std::uint64_t outToNchwNs = 0;
+};
+
+/**
+ * The chain planner: a Viterbi pass over every layer's candidate
+ * table (`rows[i]`, non-empty) that picks one row per layer,
+ * minimizing the sum of node costs plus the seam cost wherever
+ * consecutive picks disagree on layout, including chain ingress and
+ * egress (the chain is NCHW on both ends). Pure arithmetic: no
+ * timing, no registry. With all-zero `seams` every layer gets its
+ * table's argmin, the first row winning exact ties. Returns one row
+ * index per layer.
+ */
+std::vector<std::size_t>
+planChain(const std::vector<std::vector<PlanRow>> &rows,
+          const std::vector<SeamCosts> &seams);
 
 /** An immutable, concurrently-executable model instance. */
 class Session
@@ -330,6 +376,12 @@ class Session
     /// owes a flush at destruction.
     bool traceArmed_ = false;
 };
+
+/**
+ * Whether two sessions run the same plan: the same layer count and,
+ * layer by layer, the same (engine, variant, layout).
+ */
+bool samePlan(const Session &a, const Session &b);
 
 } // namespace twq
 

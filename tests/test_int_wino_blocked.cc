@@ -146,7 +146,7 @@ TEST_P(BlockedIntWino, ReusedBuffersAreStableAcrossBatchChanges)
     TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
-    TensorD Md, Y;
+    TensorD Md;
     Shape big = c.input;
     big[0] *= 2;
     const TensorD x1 = randomTensor(big, 3002);
@@ -157,7 +157,7 @@ TEST_P(BlockedIntWino, ReusedBuffersAreStableAcrossBatchChanges)
         const ConvParams p{3, 1, cfg.pad};
         TensorD out({x->dim(0), blk.coutb(), p.outSize(x->dim(2)),
                      p.outSize(x->dim(3)), kLayoutBlock});
-        blk.forwardInto(xb, xq, U32, U16, U8, M, Md, Y, out);
+        blk.forwardInto(xb, xq, U32, U16, U8, M, Md, out);
         const TensorD expect = blk.forward(xb);
         ASSERT_EQ(out.shape(), expect.shape());
         for (std::size_t i = 0; i < out.numel(); ++i)
@@ -185,13 +185,13 @@ TEST_P(BlockedIntWino, ShardedTapGemmIsBitIdenticalToSerial)
     TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
-    TensorD Md, Y;
+    TensorD Md;
     const ConvParams p{3, 1, cfg.pad};
     TensorD serial({big[0], blk.coutb(), p.outSize(big[2]),
                     p.outSize(big[3]), kLayoutBlock});
     TensorD parallel(serial.shape());
-    blk.forwardInto(xb, xq, U32, U16, U8, M, Md, Y, serial);
-    blk.forwardInto(xb, xq, U32, U16, U8, M, Md, Y, parallel,
+    blk.forwardInto(xb, xq, U32, U16, U8, M, Md, serial);
+    blk.forwardInto(xb, xq, U32, U16, U8, M, Md, parallel,
                     &runner);
     pool.shutdown();
     EXPECT_TRUE(parallel == serial)

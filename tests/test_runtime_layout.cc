@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <future>
 #include <string>
@@ -448,18 +449,19 @@ TEST(ChainDp, JointPlanMatchesReferenceAndBeatsNoPlan)
     const Session reference(net, refCfg);
 
     const TensorD input = randomInput(dp.inputShape(), 1234);
-    const TensorD y = dp.run(input);
     const TensorD ref = reference.run(input);
-    ASSERT_EQ(y.shape(), ref.shape());
-    for (std::size_t i = 0; i < y.numel(); ++i)
-        EXPECT_NEAR(y[i], ref[i], 1e-6);
-    // Both policies pick from the same candidate family.
-    for (std::size_t i = 0; i < dp.layerCount(); ++i) {
-        const ConvEngine e = dp.layerEngine(i);
-        EXPECT_TRUE(e == ConvEngine::Im2col ||
-                    e == ConvEngine::WinogradFp32 ||
-                    e == ConvEngine::WinogradBlocked);
-        (void)argmin;
+    for (const Session *s : {&dp, &argmin}) {
+        const TensorD y = s->run(input);
+        ASSERT_EQ(y.shape(), ref.shape());
+        for (std::size_t i = 0; i < y.numel(); ++i)
+            EXPECT_NEAR(y[i], ref[i], 1e-6);
+        // Both policies pick from the same candidate family.
+        for (std::size_t i = 0; i < s->layerCount(); ++i) {
+            const ConvEngine e = s->layerEngine(i);
+            EXPECT_TRUE(e == ConvEngine::Im2col ||
+                        e == ConvEngine::WinogradFp32 ||
+                        e == ConvEngine::WinogradBlocked);
+        }
     }
 }
 
@@ -525,6 +527,235 @@ TEST(ChainDp, SeamCostsSteerAwayFromIsolatedBlockedLayers)
         EXPECT_STREQ(planned.layerPlan(i).source, "cache")
             << "DP re-decision must not re-measure";
     }
+}
+
+// planChain() unit tests: synthetic candidate tables and seam costs,
+// no timing and no registry.
+
+PlanRow
+nchwRow(std::uint64_t ns)
+{
+    return {ConvEngine::WinogradFp32, WinoVariant::F2, ns,
+            {ActLayout::NCHW, ActLayout::NCHW}, {}};
+}
+
+PlanRow
+blockedRow(std::uint64_t ns)
+{
+    return {ConvEngine::WinogradBlocked, WinoVariant::F2, ns,
+            {ActLayout::NCHWc8, ActLayout::NCHWc8}, {}};
+}
+
+SeamCosts
+uniformSeams(std::uint64_t ns)
+{
+    return {ns, ns, ns, ns};
+}
+
+TEST(ChainPlanner, ZeroSeamsGivePerLayerArgminWithFirstRowTies)
+{
+    const std::vector<std::vector<PlanRow>> rows = {
+        {nchwRow(100), blockedRow(90)},
+        {blockedRow(50), nchwRow(50)}, // exact tie: row 0 wins
+        {nchwRow(70)},
+        {nchwRow(20), blockedRow(30), nchwRow(10)},
+    };
+    const std::vector<std::size_t> picks =
+        planChain(rows, std::vector<SeamCosts>(rows.size()));
+    EXPECT_EQ(picks, (std::vector<std::size_t>{1, 0, 0, 2}));
+}
+
+TEST(ChainPlanner, SeamNetStaysNchw)
+{
+    // The decision problem of ChainDp.SeamCostsSteerAwayFrom-
+    // IsolatedBlockedLayers without a session: 100us NCHW vs 90us
+    // blocked nodes and 30us seams. Any blocked run pays two seams
+    // (+60us) for at most a 30us node win.
+    const std::vector<std::vector<PlanRow>> rows(
+        3, {nchwRow(100000), blockedRow(90000)});
+    EXPECT_EQ(planChain(rows, std::vector<SeamCosts>(
+                                  3, uniformSeams(30000))),
+              (std::vector<std::size_t>{0, 0, 0}));
+    // Without seams the per-layer argmin goes blocked everywhere.
+    EXPECT_EQ(planChain(rows, std::vector<SeamCosts>(3)),
+              (std::vector<std::size_t>{1, 1, 1}));
+}
+
+TEST(ChainPlanner, FixedRowsShapeTheSeamsAroundThem)
+{
+    // The middle layer's NCHW candidate is 10us faster, but between
+    // two fixed blocked layers it would cost two 30us seams. Fixed
+    // layers measured no seams (as in a session), so the boundary
+    // costs come from the raced layer: borrowed input-side upstream,
+    // its own output side downstream.
+    const SeamCosts middle = uniformSeams(30);
+    std::vector<std::vector<PlanRow>> rows = {
+        {blockedRow(0)}, {nchwRow(100), blockedRow(110)}, {blockedRow(0)}};
+    std::vector<SeamCosts> seams = {SeamCosts{}, middle, SeamCosts{}};
+    EXPECT_EQ(planChain(rows, seams),
+              (std::vector<std::size_t>{0, 1, 0}));
+
+    // Between fixed NCHW layers the same table keeps its NCHW win.
+    rows.front() = {nchwRow(0)};
+    rows.back() = {nchwRow(0)};
+    EXPECT_EQ(planChain(rows, seams),
+              (std::vector<std::size_t>{0, 0, 0}));
+}
+
+TEST(ChainPlanner, LargeNodeWinsGiveAnAllBlockedChain)
+{
+    // Each blocked node saves 50us; ingress + egress cost 60us in
+    // total, far below the 150us the whole chain saves. No mixed
+    // plan may win either: every interior seam would only add cost.
+    const std::vector<std::vector<PlanRow>> rows(
+        3, {nchwRow(100), blockedRow(50)});
+    EXPECT_EQ(planChain(rows, std::vector<SeamCosts>(
+                                  3, uniformSeams(30))),
+              (std::vector<std::size_t>{1, 1, 1}));
+}
+
+/// Forwards everything to a registered backend and counts prepare
+/// calls.
+class CountingBackend : public ConvBackend
+{
+  public:
+    CountingBackend(std::shared_ptr<const ConvBackend> inner,
+                    std::atomic<int> *prepares)
+        : inner_(std::move(inner)), prepares_(prepares)
+    {}
+
+    using ConvBackend::run;
+
+    ConvEngine kind() const override { return inner_->kind(); }
+
+    bool
+    supports(const ConvLayerDesc &desc) const override
+    {
+        return inner_->supports(desc);
+    }
+
+    ActLayout
+    inputLayout() const override
+    {
+        return inner_->inputLayout();
+    }
+
+    ActLayout
+    outputLayout() const override
+    {
+        return inner_->outputLayout();
+    }
+
+    std::shared_ptr<const PreparedLayer>
+    prepare(const ConvLayerDesc &desc, const TensorD &weights,
+            const LayerBuild &build) const override
+    {
+        ++*prepares_;
+        return inner_->prepare(desc, weights, build);
+    }
+
+    Shape
+    outputShape(const PreparedLayer &prep,
+                const Shape &input) const override
+    {
+        return inner_->outputShape(prep, input);
+    }
+
+    void
+    run(const PreparedLayer &prep, const TensorD &input,
+        ScratchArena &scratch, TensorD &out,
+        const RunContext &ctx) const override
+    {
+        inner_->run(prep, input, scratch, out, ctx);
+    }
+
+    bool f16Storage() const override { return inner_->f16Storage(); }
+
+    void
+    runF16(const PreparedLayer &prep, const TensorF16 &input,
+           ScratchArena &scratch, TensorF16 &out,
+           const RunContext &ctx) const override
+    {
+        inner_->runF16(prep, input, scratch, out, ctx);
+    }
+
+  private:
+    std::shared_ptr<const ConvBackend> inner_;
+    std::atomic<int> *prepares_;
+};
+
+/// Wraps every registered backend in a CountingBackend for its
+/// lifetime and restores the originals afterwards.
+class PrepareCounter
+{
+  public:
+    PrepareCounter()
+    {
+        EngineRegistry &registry = EngineRegistry::instance();
+        for (ConvEngine e : kAllConvEngines) {
+            originals_.push_back(registry.get(e));
+            registry.registerBackend(std::make_shared<CountingBackend>(
+                originals_.back(), &count_));
+        }
+    }
+
+    PrepareCounter(const PrepareCounter &) = delete;
+    PrepareCounter &operator=(const PrepareCounter &) = delete;
+
+    ~PrepareCounter()
+    {
+        for (const std::shared_ptr<const ConvBackend> &b : originals_)
+            EngineRegistry::instance().registerBackend(
+                std::const_pointer_cast<ConvBackend>(b));
+    }
+
+    int count() const { return count_.load(); }
+
+  private:
+    std::vector<std::shared_ptr<const ConvBackend>> originals_;
+    std::atomic<int> count_{0};
+};
+
+TEST(SessionBuild, PreparesEachLayerExactlyOnce)
+{
+    const NetworkDesc net = microServeNet(8, 4);
+    const ConvBackend *im2col =
+        EngineRegistry::instance().get(ConvEngine::Im2col).get();
+    {
+        PrepareCounter counter;
+        SessionConfig cfg;
+        cfg.defaultEngine = ConvEngine::WinogradBlocked;
+        const Session session(net, cfg);
+        EXPECT_EQ(counter.count(),
+                  static_cast<int>(session.layerCount()))
+            << "non-autoSelect build";
+    }
+    {
+        // A fully cached autoSelect build whose cached winner differs
+        // from the configured engine: the pick is prepared directly,
+        // not after a throwaway prepare of the configured engine.
+        SessionConfig cfg;
+        cfg.autoSelect = true;
+        cfg.autoSelectBatch = 2;
+        PlanCache cache;
+        cfg.planCache = &cache;
+        for (const ConvLayerDesc &d : net.expandedLayers())
+            if (d.winogradEligible())
+                cache.store(PlanCache::layerKey(d, cfg.autoSelectBatch),
+                            {ConvEngine::Im2col, WinoVariant::F4});
+        PrepareCounter counter;
+        const Session session(net, cfg);
+        for (std::size_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(session.layerEngine(i), ConvEngine::Im2col);
+            EXPECT_STREQ(session.layerPlan(i).source, "cache");
+        }
+        EXPECT_EQ(counter.count(),
+                  static_cast<int>(session.layerCount()))
+            << "fully cached autoSelect build";
+    }
+    // The original backends are registered again.
+    EXPECT_EQ(EngineRegistry::instance().get(ConvEngine::Im2col).get(),
+              im2col);
 }
 
 TEST(PShardedTapGemm, GemmColsIsBitIdenticalToWholeGemm)

@@ -12,8 +12,10 @@
  *
  * --verify rebuilds every session of the matrix against the cache and
  * fails (exit 1) unless (a) the `plan.probes` counter did not move —
- * no layer ran a live candidate race — and (b) every raced layer
- * reports plan source "cache". This is the gate CI runs after
+ * no layer ran a live candidate race —, (b) every raced layer
+ * reports plan source "cache", and (c) a second build from the same
+ * cache runs the same (engine, variant, layout) on every layer: one
+ * host and one cache give one plan. This is the gate CI runs after
  * restoring a tuned cache: a kernel-table change, a format bump, or a
  * matrix extension all surface as a nonzero exit instead of silent
  * cold probes in the serving path.
@@ -194,9 +196,19 @@ main(int argc, char **argv)
                              probed);
                 ++failures;
             }
+            if (verify &&
+                !samePlan(session,
+                          Session(net, policyFor(cachePath, q, batch)))) {
+                std::fprintf(stderr,
+                             "FAIL: %s (%s) planned differently on a "
+                             "second build from the same cache\n",
+                             net.name.c_str(), q ? "int8" : "fp");
+                ++failures;
+            }
         }
     }
     if (verify && failures == 0)
-        std::printf("verify OK: zero cold probes across the matrix\n");
+        std::printf("verify OK: zero cold probes and stable plans "
+                    "across the matrix\n");
     return failures ? 1 : 0;
 }
