@@ -285,143 +285,231 @@ winogradUntileBlocked(const Tensor<T> &Y, WinoVariant v, Tensor<T> &out,
     }
 }
 
-namespace
+TileChunks
+tileChunks(const WinoDims &d, std::size_t cinb, std::size_t coutb,
+           std::size_t elemBytes, std::size_t lanes)
 {
+    TileChunks c;
+    c.rows = d.n * d.tilesY;
+    c.tilesX = d.tilesX;
+    // Bytes of U + M per tile column of a chunk buffer.
+    const std::size_t tileBytes =
+        d.t * d.t * (cinb + coutb) * kB * elemBytes;
+    // The chunk capacity: the most rows whose buffers, padding tile
+    // included, fit the budget (one row when even that does not), and
+    // no more than the layer has. Buffers are laid out for it, so they
+    // are the same size for every batch at least that large.
+    const std::size_t budgetTiles = kChunkBudgetBytes / tileBytes;
+    const std::size_t capRows = std::min(
+        c.rows,
+        budgetTiles > d.tilesX ? (budgetTiles - 1) / d.tilesX : 1);
+    c.chunks = (c.rows + capRows - 1) / capRows;
+    if (lanes > 1) {
+        // Round up to whole waves of lanes, but split no finer than
+        // kChunkMinTiles per chunk (nor coarser than the budget).
+        const std::size_t minRows =
+            (kChunkMinTiles + d.tilesX - 1) / d.tilesX;
+        const std::size_t finest =
+            std::max(c.chunks, c.rows / minRows);
+        c.chunks = std::min(finest,
+                            (c.chunks + lanes - 1) / lanes * lanes);
+    }
+    c.rowsPerChunk = (c.rows + c.chunks - 1) / c.chunks;
+    c.tapStrideTiles = capRows * d.tilesX;
+    const auto aliases = [&](std::size_t cb) {
+        return cb * c.tapStrideTiles * kB * elemBytes %
+                   kAliasStrideBytes ==
+               0;
+    };
+    // One more tile breaks the alias, unless Cb * 8 elements alone are
+    // a multiple of the alias stride (no tile count helps then).
+    if (aliases(cinb) || aliases(coutb))
+        ++c.tapStrideTiles;
+    return c;
+}
 
-/**
- * Run fn(row) for every row in [0, rows), sharded over `runner` in
- * contiguous chunks. Each tile row of a fused transform writes its
- * own slice of the destination, so sharding never changes a result.
- */
 void
-forEachTileRow(gemm::ParallelRunner *runner, std::size_t rows,
-               const std::function<void(std::size_t)> &fn)
+forEachTileChunk(
+    gemm::ParallelRunner *runner, const TileChunks &c,
+    const std::function<void(const TileChunk &, std::size_t)> &fn)
 {
-    const std::size_t chunks =
-        runner ? std::min(rows, 2 * runner->lanes()) : 1;
-    gemm::runTasks(runner, chunks, [&](std::size_t c, std::size_t) {
-        for (std::size_t r = rows * c / chunks;
-             r < rows * (c + 1) / chunks; ++r)
-            fn(r);
+    gemm::runTasks(runner, c.chunks, [&](std::size_t i, std::size_t lane) {
+        const std::size_t r0 = c.firstRow(i);
+        const std::size_t rows = c.firstRow(i + 1) - r0;
+        fn(TileChunk{r0, rows, rows * c.tilesX, c.tapStrideTiles}, lane);
     });
 }
 
-/// Drive a fused input kernel over every (image, channel block, tile
-/// row) of the NCHWc8 `input`, writing U [t*t, Cb, P, 8].
+namespace
+{
+
+/// Drive a fused input kernel over the tile rows of chunk `c` of the
+/// NCHWc8 `input`, every channel block, writing the chunk buffer u
+/// [t*t, Cb, c.strideTiles, 8].
 template <typename S, typename T, typename Kernel>
 void
-inputTransform(const Tensor<S> &input, WinoVariant v, std::size_t pad,
-               const WinoKronPlan<T> &bt, Tensor<T> &U,
-               gemm::ParallelRunner *runner, Kernel kernel)
+inputChunk(const Tensor<S> &input, WinoVariant v, std::size_t pad,
+           const WinoKronPlan<T> &bt, const TileChunk &c, T *u,
+           Kernel kernel)
 {
     const WinoDims d = winoDimsBlocked(input.shape(), v, pad);
     const std::size_t cb = input.dim(1);
     const std::size_t h = input.dim(2);
     const std::size_t w = input.dim(3);
-    const Shape want{d.t * d.t, cb, d.tiles, kB};
-    if (U.shape() != want)
-        U = Tensor<T>(want);
-    forEachTileRow(runner, d.n * cb * d.tilesY, [&](std::size_t row) {
-        const std::size_t ty = row % d.tilesY;
-        const std::size_t b = row / d.tilesY % cb;
-        const std::size_t n = row / d.tilesY / cb;
-        const auto p = static_cast<std::ptrdiff_t>(pad);
+    const auto p = static_cast<std::ptrdiff_t>(pad);
+    for (std::size_t r = 0; r < c.rows; ++r) {
+        const std::size_t ty = (c.row0 + r) % d.tilesY;
+        const std::size_t n = (c.row0 + r) / d.tilesY;
         const auto y0 = static_cast<std::ptrdiff_t>(ty * d.m) - p;
-        const layout::TileRow r{h,   w,        y0, -p,
-                                d.m, d.tilesX, cb * d.tiles * kB};
-        kernel(bt, r, input.data() + (n * cb + b) * h * w * kB,
-               U.data() +
-                   (b * d.tiles + (n * d.tilesY + ty) * d.tilesX) * kB);
-    });
+        const layout::TileRow tr{h,   w,        y0, -p,
+                                 d.m, d.tilesX, cb * c.strideTiles * kB};
+        for (std::size_t b = 0; b < cb; ++b)
+            kernel(bt, tr, input.data() + (n * cb + b) * h * w * kB,
+                   u + (b * c.strideTiles + r * d.tilesX) * kB);
+    }
 }
 
-/// Drive a fused output kernel over every (image, channel block, tile
-/// row) of the pre-shaped NCHWc8 `out`, reading M [t*t, Cb, P, 8].
+/// Drive a fused output kernel over the tile rows of chunk `c` of the
+/// pre-shaped NCHWc8 `out`, every channel block, reading the chunk
+/// buffer m [t*t, Cb, c.strideTiles, 8].
+template <typename T, typename D, typename Kernel>
+void
+outputChunk(const T *m, const WinoKronPlan<T> &at, const TileChunk &c,
+            Tensor<D> &out, const T *bias8, bool relu, Kernel kernel)
+{
+    twq_assert(out.rank() == 5 && out.dim(4) == kB,
+               "the fused output transform expects an NCHWc8 output");
+    const std::size_t mo = at.rowsOut;
+    const std::size_t cb = out.dim(1);
+    const std::size_t ho = out.dim(2);
+    const std::size_t wo = out.dim(3);
+    const std::size_t tilesY = (ho + mo - 1) / mo;
+    const std::size_t tilesX = (wo + mo - 1) / mo;
+    for (std::size_t r = 0; r < c.rows; ++r) {
+        const std::size_t ty = (c.row0 + r) % tilesY;
+        const std::size_t in = (c.row0 + r) / tilesY;
+        const auto y0 = static_cast<std::ptrdiff_t>(ty * mo);
+        const layout::TileRow tr{ho, wo,     y0, 0,
+                                 mo, tilesX, cb * c.strideTiles * kB};
+        for (std::size_t b = 0; b < cb; ++b)
+            kernel(at, tr, m + (b * c.strideTiles + r * tilesX) * kB,
+                   out.data() + (in * cb + b) * ho * wo * kB,
+                   bias8 ? bias8 + b * kB : nullptr, relu);
+    }
+}
+
+/// The whole-layer transforms: the layer as one chunk of P columns.
+template <typename S, typename T, typename Kernel>
+void
+inputTransform(const Tensor<S> &input, WinoVariant v, std::size_t pad,
+               const WinoKronPlan<T> &bt, Tensor<T> &U, Kernel kernel)
+{
+    const WinoDims d = winoDimsBlocked(input.shape(), v, pad);
+    const Shape want{d.t * d.t, input.dim(1), d.tiles, kB};
+    if (U.shape() != want)
+        U = Tensor<T>(want);
+    inputChunk(input, v, pad, bt,
+               TileChunk{0, d.n * d.tilesY, d.tiles, d.tiles}, U.data(),
+               kernel);
+}
+
 template <typename T, typename D, typename Kernel>
 void
 outputTransform(const Tensor<T> &M, const WinoKronPlan<T> &at,
-                Tensor<D> &out, const T *bias8, bool relu,
-                gemm::ParallelRunner *runner, Kernel kernel)
+                Tensor<D> &out, const T *bias8, bool relu, Kernel kernel)
 {
     twq_assert(out.rank() == 5 && out.dim(4) == kB,
                "the fused output transform expects an NCHWc8 output");
     const std::size_t m = at.rowsOut;
-    const std::size_t n = out.dim(0);
-    const std::size_t cb = out.dim(1);
-    const std::size_t ho = out.dim(2);
-    const std::size_t wo = out.dim(3);
-    const std::size_t tilesY = (ho + m - 1) / m;
-    const std::size_t tilesX = (wo + m - 1) / m;
-    const std::size_t tiles = n * tilesY * tilesX;
+    const std::size_t tilesY = (out.dim(2) + m - 1) / m;
+    const std::size_t tilesX = (out.dim(3) + m - 1) / m;
+    const std::size_t tiles = out.dim(0) * tilesY * tilesX;
     twq_assert(M.rank() == 4 && M.dim(0) == at.rowsIn * at.rowsIn &&
-                   M.dim(1) == cb && M.dim(2) == tiles && M.dim(3) == kB,
+                   M.dim(1) == out.dim(1) && M.dim(2) == tiles &&
+                   M.dim(3) == kB,
                "tap buffer does not match the output geometry");
-    forEachTileRow(runner, n * cb * tilesY, [&](std::size_t row) {
-        const std::size_t ty = row % tilesY;
-        const std::size_t b = row / tilesY % cb;
-        const std::size_t in = row / tilesY / cb;
-        const layout::TileRow r{ho, wo, static_cast<std::ptrdiff_t>(ty * m),
-                                0,  m,  tilesX, cb * tiles * kB};
-        kernel(at, r,
-               M.data() + (b * tiles + (in * tilesY + ty) * tilesX) * kB,
-               out.data() + (in * cb + b) * ho * wo * kB,
-               bias8 ? bias8 + b * kB : nullptr, relu);
-    });
+    outputChunk(M.data(), at,
+                TileChunk{0, out.dim(0) * tilesY, tiles, tiles}, out,
+                bias8, relu, kernel);
 }
 
 } // namespace
 
 void
 winogradInputTransformBlocked(const TensorD &input, WinoVariant v,
-                              std::size_t pad, TensorD &U,
-                              gemm::ParallelRunner *runner)
+                              std::size_t pad, TensorD &U)
 {
-    inputTransform(input, v, pad, winoInputSep<double>(v), U, runner,
+    inputTransform(input, v, pad, winoInputSep<double>(v), U,
                    table().winoInputD);
 }
 
 void
 winogradInputTransformBlocked(const TensorI32 &input, WinoVariant v,
-                              std::size_t pad, TensorI32 &U,
-                              gemm::ParallelRunner *runner)
+                              std::size_t pad, TensorI32 &U)
 {
     inputTransform(input, v, pad, winoInputSep<std::int32_t>(v), U,
-                   runner, table().winoInputI32);
+                   table().winoInputI32);
 }
 
 void
 winogradInputTransformBlocked(const TensorF16 &input, WinoVariant v,
-                              std::size_t pad, TensorF &U,
-                              gemm::ParallelRunner *runner)
+                              std::size_t pad, TensorF &U)
 {
-    inputTransform(input, v, pad, winoInputSep<float>(v), U, runner,
+    inputTransform(input, v, pad, winoInputSep<float>(v), U,
                    layout::f16Kernels().winoInput);
 }
 
 void
 winogradOutputTransformBlocked(const TensorD &M, WinoVariant v,
                                TensorD &out, const double *bias8,
-                               bool relu, gemm::ParallelRunner *runner)
+                               bool relu)
 {
     outputTransform(M, winoOutputSep<double>(v), out, bias8, relu,
-                    runner, table().winoOutputD);
+                    table().winoOutputD);
 }
 
 void
 winogradOutputTransformBlocked(const TensorF &M, WinoVariant v,
                                TensorF16 &out, const float *bias8,
-                               bool relu, gemm::ParallelRunner *runner)
+                               bool relu)
 {
     outputTransform(M, winoOutputSep<float>(v), out, bias8, relu,
-                    runner, layout::f16Kernels().winoOutput);
+                    layout::f16Kernels().winoOutput);
 }
 
 void
-conv2dWinogradBlockedInto(const TensorD &input,
-                          const BlockedTapWeights &w, std::size_t pad,
-                          TensorD &U, TensorD &M, TensorD &out,
-                          gemm::ParallelRunner *runner,
-                          const double *bias8, bool relu)
+winogradInputTransformChunk(const TensorI32 &input, WinoVariant v,
+                            std::size_t pad, const TileChunk &c,
+                            std::int32_t *u)
+{
+    inputChunk(input, v, pad, winoInputSep<std::int32_t>(v), c, u,
+               table().winoInputI32);
+}
+
+void
+winogradOutputTransformChunk(const double *m, WinoVariant v,
+                             const TileChunk &c, TensorD &out,
+                             const double *bias8, bool relu)
+{
+    outputChunk(m, winoOutputSep<double>(v), c, out, bias8, relu,
+                table().winoOutputD);
+}
+
+namespace
+{
+
+/**
+ * The fp64 and f16 engines' chunk walk: per chunk, the fused input
+ * transform into the lane's U, the per-tap GEMM into its M, and the
+ * fused output transform into `out`.
+ */
+template <typename S, typename T, typename Weights, typename Input,
+          typename Gemm, typename Output>
+void
+convChunked(const Tensor<S> &input, const Weights &w, std::size_t pad,
+            Tensor<T> &U, Tensor<T> &M, Tensor<S> &out,
+            gemm::ParallelRunner *runner, const T *bias8, bool relu,
+            Input inKernel, Gemm gemmKernel, Output outKernel)
 {
     const WinoDims d = winoDimsBlocked(input.shape(), w.variant, pad);
     twq_assert(input.dim(1) == w.cinb,
@@ -430,22 +518,40 @@ conv2dWinogradBlockedInto(const TensorD &input,
                    out.dim(1) == w.coutb && out.dim(2) == d.ho &&
                    out.dim(3) == d.wo && out.dim(4) == kB,
                "output tensor not pre-shaped for the blocked launch");
-    {
-        TWQ_SPAN("winoc8.input");
-        TWQ_STAGE_PERF("winoc8.input");
-        winogradInputTransformBlocked(input, w.variant, pad, U, runner);
-    }
-    {
-        TWQ_SPAN("winoc8.tapgemm");
-        TWQ_STAGE_PERF("winoc8.tapgemm");
-        winogradTapGemmBlocked(w, U, M, runner);
-    }
-    {
-        TWQ_SPAN("winoc8.output");
-        TWQ_STAGE_PERF("winoc8.output");
-        winogradOutputTransformBlocked(M, w.variant, out, bias8, relu,
-                                       runner);
-    }
+    const std::size_t tt = d.t * d.t;
+    const std::size_t lanes = runner ? runner->lanes() : 1;
+    const TileChunks c = tileChunks(d, w.cinb, w.coutb, sizeof(T), lanes);
+    const std::size_t uElems = c.laneElems(tt, w.cinb);
+    const std::size_t mElems = c.laneElems(tt, w.coutb);
+    T *u = chunkBuffer(U, lanes * uElems);
+    T *m = chunkBuffer(M, lanes * mElems);
+    const WinoKronPlan<T> &bt = winoInputSep<T>(w.variant);
+    const WinoKronPlan<T> &at = winoOutputSep<T>(w.variant);
+    forEachTileChunk(runner, c, [&](const TileChunk &ch, std::size_t lane) {
+        T *ul = u + lane * uElems;
+        T *ml = m + lane * mElems;
+        inputChunk(input, w.variant, pad, bt, ch, ul, inKernel);
+        for (std::size_t k = 0; k < tt; ++k)
+            gemmKernel(w.tap(k), ul + k * w.cinb * ch.strideTiles * kB,
+                       ml + k * w.coutb * ch.strideTiles * kB, w.coutb,
+                       w.cinb, ch.strideTiles, 0, ch.tiles);
+        outputChunk(ml, at, ch, out, bias8, relu, outKernel);
+    });
+}
+
+} // namespace
+
+void
+conv2dWinogradBlockedInto(const TensorD &input,
+                          const BlockedTapWeights &w, std::size_t pad,
+                          TensorD &U, TensorD &M, TensorD &out,
+                          gemm::ParallelRunner *runner,
+                          const double *bias8, bool relu)
+{
+    TWQ_SPAN("winoc8.tiles");
+    TWQ_STAGE_PERF("winoc8.tiles");
+    convChunked(input, w, pad, U, M, out, runner, bias8, relu,
+                table().winoInputD, table().tapGemm, table().winoOutputD);
 }
 
 TensorD
@@ -492,36 +598,6 @@ blockedTapWeightsF16(const WinogradTapWeights<double> &w)
     return out;
 }
 
-namespace
-{
-
-void
-winogradTapGemmBlockedF16(const BlockedTapWeightsF16 &w,
-                          const TensorF &U, TensorF &M,
-                          gemm::ParallelRunner *runner)
-{
-    const WinoSpec spec = winoSpec(w.variant);
-    const std::size_t tt = spec.t * spec.t;
-    twq_assert(U.rank() == 4 && U.dim(0) == tt &&
-                   U.dim(1) == w.cinb && U.dim(3) == kB,
-               "scatter buffer does not match blocked f16 weights");
-    const std::size_t tiles = U.dim(2);
-    const Shape want{tt, w.coutb, tiles, kB};
-    if (M.shape() != want)
-        M = TensorF(want);
-    const layout::F16Kernels &hk = layout::f16Kernels();
-    gemm::runTapColBlocks(
-        runner, tt, tiles, layout::kTapPr,
-        [&](std::size_t k, std::size_t j0, std::size_t jn,
-            std::size_t) {
-            hk.tapGemm(w.tap(k), U.data() + k * w.cinb * tiles * kB,
-                       M.data() + k * w.coutb * tiles * kB, w.coutb,
-                       w.cinb, tiles, j0, jn);
-        });
-}
-
-} // namespace
-
 void
 conv2dWinogradBlockedF16Into(const TensorF16 &input,
                              const BlockedTapWeightsF16 &w,
@@ -530,29 +606,11 @@ conv2dWinogradBlockedF16Into(const TensorF16 &input,
                              gemm::ParallelRunner *runner,
                              const float *bias8, bool relu)
 {
-    const WinoDims d = winoDimsBlocked(input.shape(), w.variant, pad);
-    twq_assert(input.dim(1) == w.cinb,
-               "input channel blocks do not match prepared weights");
-    twq_assert(out.rank() == 5 && out.dim(0) == d.n &&
-                   out.dim(1) == w.coutb && out.dim(2) == d.ho &&
-                   out.dim(3) == d.wo && out.dim(4) == kB,
-               "output tensor not pre-shaped for the blocked launch");
-    {
-        TWQ_SPAN("winoc8h.input");
-        TWQ_STAGE_PERF("winoc8h.input");
-        winogradInputTransformBlocked(input, w.variant, pad, U, runner);
-    }
-    {
-        TWQ_SPAN("winoc8h.tapgemm");
-        TWQ_STAGE_PERF("winoc8h.tapgemm");
-        winogradTapGemmBlockedF16(w, U, M, runner);
-    }
-    {
-        TWQ_SPAN("winoc8h.output");
-        TWQ_STAGE_PERF("winoc8h.output");
-        winogradOutputTransformBlocked(M, w.variant, out, bias8, relu,
-                                       runner);
-    }
+    TWQ_SPAN("winoc8h.tiles");
+    TWQ_STAGE_PERF("winoc8h.tiles");
+    const layout::F16Kernels &hk = layout::f16Kernels();
+    convChunked(input, w, pad, U, M, out, runner, bias8, relu,
+                hk.winoInput, hk.tapGemm, hk.winoOutput);
 }
 
 TensorF16

@@ -133,152 +133,137 @@ BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
 }
 
 void
-BlockedIntWinograd::scatterGemm(const TensorD &input, bool useShifts,
-                                TensorI32 &xq, TensorI32 &U32,
-                                TensorI16 &U16, TensorI8 &U8,
-                                TensorI32 &M,
-                                gemm::ParallelRunner *runner) const
+BlockedIntWinograd::quantizeInput(const TensorD &input,
+                                  TensorI32 &xq) const
 {
     const IntWinogradConfig &cfg = conv_->config();
-    const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
-    twq_assert(input.dim(1) == cinb_,
+    twq_assert(input.rank() == 5 && input.dim(1) == cinb_,
                "input channel blocks do not match prepared weights");
-    const std::size_t t = d.t;
-    const std::size_t tt = t * t;
     const double sx = conv_->inputScale();
-
     // Spatial-domain quantization of the blocked input in place of
     // layout (padded lanes hold 0.0 and quantize to 0). Power-of-two
     // scales take the vectorized exact-reciprocal kernel, which is
     // bit-identical to quantize(); free scales keep the scalar
     // divide.
-    {
-        TWQ_SPAN("winoc8i.quantize");
-        TWQ_STAGE_PERF("winoc8i.quantize");
-        if (xq.shape() != input.shape())
-            xq = TensorI32(input.shape());
-        if (cfg.pow2Scales) {
-            layout::kernels().quantizeI32(
-                input.data(), 1.0 / sx,
-                static_cast<double>(quantMin(cfg.spatialBits)),
-                static_cast<double>(quantMax(cfg.spatialBits)),
-                xq.data(), input.numel());
-        } else {
-            for (std::size_t i = 0; i < input.numel(); ++i)
-                xq[i] = static_cast<std::int32_t>(
-                    quantize(input[i], sx, cfg.spatialBits));
-        }
+    TWQ_SPAN("winoc8i.quantize");
+    TWQ_STAGE_PERF("winoc8i.quantize");
+    if (xq.shape() != input.shape())
+        xq = TensorI32(input.shape());
+    if (cfg.pow2Scales) {
+        layout::kernels().quantizeI32(
+            input.data(), 1.0 / sx,
+            static_cast<double>(quantMin(cfg.spatialBits)),
+            static_cast<double>(quantMax(cfg.spatialBits)), xq.data(),
+            input.numel());
+    } else {
+        for (std::size_t i = 0; i < input.numel(); ++i)
+            xq[i] = static_cast<std::int32_t>(
+                quantize(input[i], sx, cfg.spatialBits));
     }
+}
+
+TileChunks
+BlockedIntWinograd::chunks(const WinoDims &d, std::size_t lanes) const
+{
+    // Md, the fp64 dequant buffer, is the widest chunk element.
+    return tileChunks(d, cinb_, coutb_, sizeof(double), lanes);
+}
+
+void
+BlockedIntWinograd::scatterGemmChunk(const TensorI32 &xq,
+                                     const TileChunk &c, bool useShifts,
+                                     const ChunkBuffers &b) const
+{
+    const IntWinogradConfig &cfg = conv_->config();
+    const std::size_t t = winoSpec(cfg.variant).t;
+    const std::size_t tt = t * t;
+    const std::size_t cinp = cinb_ * kB;
+    const std::size_t S = c.strideTiles;
+    const layout::LayoutKernels &lk = layout::kernels();
 
     // The exact integer B-transform, fused with the tile gather (each
-    // tile read straight from xq), then the tap-wise requantization
-    // narrowing into the GEMM operand.
-    {
-        TWQ_SPAN("winoc8i.input");
-        TWQ_STAGE_PERF("winoc8i.input");
-        winogradInputTransformBlocked(xq, cfg.variant, cfg.pad, U32,
-                                      runner);
-    }
-    const Shape ushape{tt, cinb_, d.tiles, kB};
-    const std::size_t rowLen = cinb_ * d.tiles * kB;
+    // tile read straight from xq).
+    winogradInputTransformChunk(xq, cfg.variant, cfg.pad, c, b.u32);
+
+    // The tap-wise S_B requantization narrowing into the GEMM
+    // operand, one (tap, channel block) row of the chunk's tiles at a
+    // time: straight into the biased-u8 operand of the vpdpbusd tap
+    // kernel (value + 128) when it is engaged, into int16 otherwise.
+    // Round(x / s) rounds half away from zero, matching the shifts
+    // exactly for power-of-two scales.
     const MatrixD &sb = conv_->inputTapScale();
-    if (use8_) {
-        TWQ_SPAN("winoc8i.requant");
-        TWQ_STAGE_PERF("winoc8i.requant");
-        // Requantize straight into the biased-u8 operand of the
-        // vpdpbusd tap kernel (value + 128 per element).
-        if (U8.shape() != ushape)
-            U8 = TensorI8(ushape);
-        std::uint8_t *u8 =
-            reinterpret_cast<std::uint8_t *>(U8.data());
-        for (std::size_t k = 0; k < tt; ++k) {
-            const std::int32_t *src = U32.data() + k * rowLen;
-            std::uint8_t *row = u8 + k * rowLen;
-            const double s = sb(k / t, k % t);
-            if (useShifts) {
-                layout::kernels().rescaleU8(src, row, rowLen,
-                                            log2Exact(s),
-                                            cfg.winogradBits);
+    const std::size_t len = c.tiles * kB;
+    for (std::size_t k = 0; k < tt; ++k) {
+        const double s = sb(k / t, k % t);
+        const int shift = useShifts ? log2Exact(s) : 0;
+        for (std::size_t cb = 0; cb < cinb_; ++cb) {
+            const std::size_t at = (k * cinb_ + cb) * S * kB;
+            const std::int32_t *src = b.u32 + at;
+            if (use8_ && useShifts) {
+                lk.rescaleU8(src, b.u8 + at, len, shift,
+                             cfg.winogradBits);
+            } else if (useShifts) {
+                lk.rescaleI16(src, b.u16 + at, len, shift,
+                              cfg.winogradBits);
             } else {
-                // Round half away from zero, matching the
-                // shift-based path exactly for power-of-two scales.
-                for (std::size_t l = 0; l < rowLen; ++l) {
-                    const double r =
-                        std::round(static_cast<double>(src[l]) / s);
-                    row[l] = static_cast<std::uint8_t>(
-                        clampSigned(static_cast<std::int64_t>(r),
-                                    cfg.winogradBits) +
-                        128);
-                }
-            }
-        }
-    } else {
-        TWQ_SPAN("winoc8i.requant");
-        TWQ_STAGE_PERF("winoc8i.requant");
-        if (U16.shape() != ushape)
-            U16 = TensorI16(ushape);
-        for (std::size_t k = 0; k < tt; ++k) {
-            const std::int32_t *src = U32.data() + k * rowLen;
-            std::int16_t *row = U16.data() + k * rowLen;
-            const double s = sb(k / t, k % t);
-            if (useShifts) {
-                // Shift-based hardware rescale (vectorized).
-                layout::kernels().rescaleI16(src, row, rowLen,
-                                             log2Exact(s),
-                                             cfg.winogradBits);
-            } else {
-                // Round half away from zero, matching the
-                // shift-based path exactly for power-of-two scales.
-                for (std::size_t l = 0; l < rowLen; ++l) {
-                    const double r =
-                        std::round(static_cast<double>(src[l]) / s);
-                    row[l] = static_cast<std::int16_t>(
-                        clampSigned(static_cast<std::int64_t>(r),
-                                    cfg.winogradBits));
+                for (std::size_t l = 0; l < len; ++l) {
+                    const std::int64_t q = clampSigned(
+                        static_cast<std::int64_t>(std::round(
+                            static_cast<double>(src[l]) / s)),
+                        cfg.winogradBits);
+                    if (use8_)
+                        b.u8[at + l] = static_cast<std::uint8_t>(q + 128);
+                    else
+                        b.u16[at + l] = static_cast<std::int16_t>(q);
                 }
             }
         }
     }
 
     // Widening per-tap GEMM with the c-block as the SIMD lane
-    // dimension; taps (split into P column blocks when taps alone
-    // under-fill the pool) shard across `runner` — exact integer
-    // sums, so sharded execution is bit-identical to serial.
-    const Shape mshape{tt, coutb_, d.tiles, kB};
-    if (M.shape() != mshape)
-        M = TensorI32(mshape);
-    const std::size_t cinp = cinb_ * kB;
-    TWQ_SPAN("winoc8i.tapgemm"); // covers the GEMM to end of scope
-    TWQ_STAGE_PERF("winoc8i.tapgemm");
-    if (use8_) {
-        const layout::TapGemmU8Fn tapGemm =
-            layout::kernels().tapGemmU8;
-        const std::uint8_t *u8 =
-            reinterpret_cast<const std::uint8_t *>(U8.data());
-        gemm::runTapColBlocks(
-            runner, tt, d.tiles, layout::kTapPr,
-            [&](std::size_t k, std::size_t j0, std::size_t jn,
-                std::size_t) {
-                tapGemm(wq8_.data() + k * coutb_ * cinp * kB,
-                        u8 + k * cinb_ * d.tiles * kB,
-                        comp_.data() + k * coutb_ * kB,
-                        M.data() + k * coutb_ * d.tiles * kB,
-                        coutb_, cinb_, d.tiles, j0, jn);
-            });
-    } else {
-        const layout::TapGemmI16Fn tapGemm =
-            layout::kernels().tapGemmI16;
-        gemm::runTapColBlocks(
-            runner, tt, d.tiles, layout::kTapPr,
-            [&](std::size_t k, std::size_t j0, std::size_t jn,
-                std::size_t) {
-                tapGemm(wq16_.data() + k * coutb_ * cinp * kB,
-                        U16.data() + k * cinb_ * d.tiles * kB,
-                        M.data() + k * coutb_ * d.tiles * kB, coutb_,
-                        cinb_, d.tiles, j0, jn);
-            });
+    // dimension (exact integer sums).
+    for (std::size_t k = 0; k < tt; ++k) {
+        std::int32_t *mk = b.m + k * coutb_ * S * kB;
+        if (use8_)
+            lk.tapGemmU8(wq8_.data() + k * coutb_ * cinp * kB,
+                         b.u8 + k * cinb_ * S * kB,
+                         comp_.data() + k * coutb_ * kB, mk, coutb_,
+                         cinb_, S, 0, c.tiles);
+        else
+            lk.tapGemmI16(wq16_.data() + k * coutb_ * cinp * kB,
+                          b.u16 + k * cinb_ * S * kB, mk, coutb_, cinb_,
+                          S, 0, c.tiles);
     }
+}
+
+BlockedIntWinograd::ChunkBuffers
+BlockedIntWinograd::ChunkBuffers::lane(std::size_t l) const
+{
+    ChunkBuffers b = *this;
+    b.u32 += l * uElems;
+    b.u16 = u16 ? u16 + l * uElems : nullptr;
+    b.u8 = u8 ? u8 + l * uElems : nullptr;
+    b.m += l * mElems;
+    return b;
+}
+
+BlockedIntWinograd::ChunkBuffers
+BlockedIntWinograd::chunkBuffers(const TileChunks &c, std::size_t lanes,
+                                 TensorI32 &U32, TensorI16 &U16,
+                                 TensorI8 &U8, TensorI32 &M) const
+{
+    const std::size_t t = winoSpec(conv_->config().variant).t;
+    ChunkBuffers b;
+    b.uElems = c.laneElems(t * t, cinb_);
+    b.mElems = c.laneElems(t * t, coutb_);
+    b.u32 = chunkBuffer(U32, lanes * b.uElems);
+    if (use8_)
+        b.u8 = reinterpret_cast<std::uint8_t *>(
+            chunkBuffer(U8, lanes * b.uElems));
+    else
+        b.u16 = chunkBuffer(U16, lanes * b.uElems);
+    b.m = chunkBuffer(M, lanes * b.mElems);
+    return b;
 }
 
 void
@@ -297,40 +282,38 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
                    out.dim(3) == d.wo && out.dim(4) == kB,
                "output tensor not pre-shaped for the blocked launch");
     const std::size_t tt = d.t * d.t;
+    quantizeInput(input, xq);
 
-    // The S_B requantization by shifts and by round(x/s) agree
-    // exactly for power-of-two scales; shifts are integer-only and
-    // markedly cheaper, so the FP path takes them whenever the
-    // config allows.
-    scatterGemm(input, /*useShifts=*/cfg.pow2Scales, xq, U32, U16, U8,
-                M, runner);
-
-    // Dequant gather, vectorized blocked form: the tap-wise S_BG
-    // rescale (sx folded in) as one per-lane scale vector over each
-    // (tap, coutb) slice of M, then the fused FP output transform
-    // (A^T m A + untile + epilogue in one pass, sharded by tile row
-    // like the fp64 engine). Padded lanes scale by zero, so the
-    // output kernel writes them as exact zeros.
-    const Shape mdshape{tt, coutb_, d.tiles, kB};
-    if (Md.shape() != mdshape)
-        Md = TensorD(mdshape);
-    {
-        TWQ_SPAN("winoc8i.rescale");
-        TWQ_STAGE_PERF("winoc8i.rescale");
+    TWQ_SPAN("winoc8i.tiles");
+    TWQ_STAGE_PERF("winoc8i.tiles");
+    const std::size_t lanes = runner ? runner->lanes() : 1;
+    const TileChunks c = chunks(d, lanes);
+    const ChunkBuffers all = chunkBuffers(c, lanes, U32, U16, U8, M);
+    double *md = chunkBuffer(Md, lanes * all.mElems);
+    forEachTileChunk(runner, c, [&](const TileChunk &ch, std::size_t lane) {
+        // The S_B requantization by shifts and by round(x/s) agree
+        // exactly for power-of-two scales; shifts are integer-only
+        // and markedly cheaper, so the FP path takes them whenever
+        // the config allows.
+        const ChunkBuffers b = all.lane(lane);
+        scatterGemmChunk(xq, ch, /*useShifts=*/cfg.pow2Scales, b);
+        // Dequant: the tap-wise S_BG rescale (sx folded in) as one
+        // per-lane scale vector over each (tap, coutb) slice, then
+        // the fused FP output transform (A^T m A + untile + epilogue
+        // in one pass). Padded lanes scale by zero, so the output
+        // kernel writes them as exact zeros.
+        double *mdl = md + lane * all.mElems;
         for (std::size_t k = 0; k < tt; ++k)
-            for (std::size_t co = 0; co < coutb_; ++co)
+            for (std::size_t co = 0; co < coutb_; ++co) {
+                const std::size_t at =
+                    (k * coutb_ + co) * ch.strideTiles * kB;
                 layout::kernels().scaleI32F64(
-                    M.data() + (k * coutb_ + co) * d.tiles * kB,
-                    sbgSx_.data() + (k * coutb_ + co) * kB,
-                    Md.data() + (k * coutb_ + co) * d.tiles * kB,
-                    d.tiles);
-    }
-    {
-        TWQ_SPAN("winoc8i.output");
-        TWQ_STAGE_PERF("winoc8i.output");
-        winogradOutputTransformBlocked(Md, cfg.variant, out, bias8,
-                                       relu, runner);
-    }
+                    b.m + at, sbgSx_.data() + (k * coutb_ + co) * kB,
+                    mdl + at, ch.tiles);
+            }
+        winogradOutputTransformChunk(mdl, cfg.variant, ch, out, bias8,
+                                     relu);
+    });
 }
 
 TensorD
@@ -362,35 +345,39 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
     const std::size_t hw = d.ho * d.wo;
     const double sx = conv_->inputScale();
 
-    // Pass 1: blocked integer pipeline into a blocked int64 spatial
-    // output. This is the oracle-parity path, not the serving hot
-    // path, so the buffers are local.
+    // Pass 1: the integer stages chunk by chunk, exactly as the served
+    // path runs them, with each chunk's M widened into its tiles of
+    // M64: the S_BG rescale as pure left-shifts relative to the
+    // channel's common scale. This is the oracle-parity path, not the
+    // serving hot path, so the buffers are local.
     TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
-    scatterGemm(input, /*useShifts=*/true, xq, U32, U16, U8, M,
-                nullptr);
-
-    // S_BG rescale as pure left-shifts relative to the channel's
-    // common scale, widening each (tap, oc) GEMM segment to int64.
+    quantizeInput(input, xq);
+    const TileChunks c = chunks(d, 1);
+    const ChunkBuffers b = chunkBuffers(c, 1, U32, U16, U8, M);
     TensorI64 M64({tt, coutb_, d.tiles, kB});
-    for (std::size_t k = 0; k < tt; ++k) {
-        for (std::size_t co = 0; co < coutb_; ++co) {
-            const std::int32_t *src =
-                M.data() + (k * coutb_ + co) * d.tiles * kB;
-            std::int64_t *dst =
-                M64.data() + (k * coutb_ + co) * d.tiles * kB;
-            for (std::size_t l = 0; l < kB; ++l) {
-                const std::size_t oc = co * kB + l;
-                const int sh =
-                    oc < cout_ ? relShift_[oc][k] : 0;
-                for (std::size_t p = 0; p < d.tiles; ++p)
-                    dst[p * kB + l] =
-                        static_cast<std::int64_t>(src[p * kB + l])
-                        << sh;
+    forEachTileChunk(nullptr, c, [&](const TileChunk &ch, std::size_t) {
+        scatterGemmChunk(xq, ch, /*useShifts=*/true, b);
+        for (std::size_t k = 0; k < tt; ++k) {
+            for (std::size_t co = 0; co < coutb_; ++co) {
+                const std::int32_t *src =
+                    b.m + (k * coutb_ + co) * ch.strideTiles * kB;
+                std::int64_t *dst =
+                    M64.data() + ((k * coutb_ + co) * d.tiles +
+                                  ch.row0 * d.tilesX) *
+                                     kB;
+                for (std::size_t l = 0; l < kB; ++l) {
+                    const std::size_t oc = co * kB + l;
+                    const int sh = oc < cout_ ? relShift_[oc][k] : 0;
+                    for (std::size_t p = 0; p < ch.tiles; ++p)
+                        dst[p * kB + l] =
+                            static_cast<std::int64_t>(src[p * kB + l])
+                            << sh;
+                }
             }
         }
-    }
+    });
 
     // Integer A-transform as Kronecker row passes (exact), untiled
     // into the blocked spatial int64 output.

@@ -6,32 +6,36 @@
  * major path that still ran strided NCHW.
  *
  * The pipeline stages mirror IntWinogradConv::scatterGemm exactly,
- * on blocked buffers:
+ * on blocked buffers. The input is quantized once per layer; every
+ * later stage runs one chunk of tile rows at a time on the chunk
+ * walker of layout/wino_blocked.hh (tileChunks, forEachTileChunk),
+ * in [lanes x chunk] buffers of Pc <= S tiles:
  *
- *   quantize  blocked f64 input -> int32 xq, elementwise (padded
- *             lanes quantize 0 -> 0, so they stay invisible)
+ *   quantize  blocked f64 input -> int32 xq, elementwise, whole layer
+ *             (padded lanes quantize 0 -> 0, so they stay invisible)
  *   input     the fused integer input transform: each t x t x 8 tile
- *             read straight from xq, exact B^T d B applied separably,
- *             the t*t tap vectors written to U32 [t*t, Cinb, P, 8]
- *             (winogradInputTransformBlocked — no raw-tile buffer;
- *             integer sums are exact, so U32 equals the staged
- *             gather + B^T (x) B^T kron bit for bit)
+ *             of the chunk read straight from xq, exact B^T d B
+ *             applied separably, the t*t tap vectors written to U32
+ *             [t*t, Cinb, S, 8] (integer sums are exact, so U32
+ *             equals the staged gather + B^T (x) B^T kron bit for bit)
  *   rescale   the per-tap S_B requantization, clamped to
  *             `winogradBits` — which always fits int16, so the GEMM
- *             operand narrows to U16 [t*t, Cinb, P, 8]
+ *             operand narrows to U16 [t*t, Cinb, S, 8] (or biased u8
+ *             for the VNNI kernel)
  *   GEMM      per-tap widening int16 x int16 -> int32 products on
  *             pair-interleaved blocked weights with the c-block as
  *             the SIMD lane dimension (layout::TapGemmI16Fn kernels:
- *             AVX2 vpmaddwd / NEON smlal / scalar)
+ *             AVX2 vpmaddwd / NEON smlal / scalar) into M
  *   rescale   per GEMM slice, exactly like the NCHW path: the FP
  *             gather multiplies each tap slice by S_BG (a per-lane
  *             scale vector, with sx folded in) into Md; the fully
  *             integer path left-shifts each (tap, oc) slice to the
- *             channel's common power-of-two scale
+ *             channel's common power-of-two scale, widening the
+ *             chunk into its tiles of a whole-layer int64 buffer
  *   output    FP path only: the fused output transform of the fp64
- *             engine (winogradOutputTransformBlocked — A^T m A, the
- *             untile and the bias/ReLU epilogue in one pass over Md,
- *             sharded by tile row)
+ *             engine (winogradOutputTransformChunk — A^T m A, the
+ *             untile and the bias/ReLU epilogue in one pass over the
+ *             chunk's Md)
  *
  * Every integer stage computes the same order-free sums as the NCHW
  * pipeline, so forwardInt8 is bit-identical to forwardInt8Reference
@@ -72,16 +76,17 @@ class BlockedIntWinograd
      * Quantized inference on an NCHWc8 input, dequantized into the
      * pre-shaped NCHWc8 `out` ([N, Coutb, Ho, Wo, 8]; padded lanes
      * are zeroed). Caller-provided buffers (e.g. ScratchArena slots)
-     * are reshaped as needed, so the steady state performs no
-     * allocations. A non-null `runner` shards the per-tap GEMMs and
-     * the output transform (bit-identical to serial — integer sums
+     * are sized as needed: xq to the input's shape, the rest grown to
+     * [lanes x chunk] chunk buffers that never shrink, so the steady
+     * state performs no allocations. A non-null `runner` shards the
+     * chunks across its lanes (bit-identical to serial — integer sums
      * are order-free, and the FP dequant computes each pixel alone,
      * so results never depend on batch size or sharding). Agrees
      * with IntWinogradConv::forward on the equivalent NCHW input
      * within a relative 1e-9 per element (exact integer stages, FP
      * dequant checked to tolerance). A non-null `bias8` ([Coutb*8],
      * tail lanes zero) and `relu` are the fused FP epilogue of the
-     * output transform (winogradOutputTransformBlocked).
+     * output transform (winogradOutputTransformChunk).
      */
     void forwardInto(const TensorD &input, TensorI32 &xq,
                      TensorI32 &U32, TensorI16 &U16, TensorI8 &U8,
@@ -110,16 +115,38 @@ class BlockedIntWinograd
     const IntWinogradConfig &config() const { return conv_->config(); }
 
   private:
-    /// Stages shared by both forward paths: quantize, fused input
-    /// transform, S_B rescale (shift- or round-based), widening
-    /// per-tap GEMM.
-    /// With the u8 kernel engaged (8-bit operands on a VNNI host)
-    /// the rescale emits the biased-u8 operand into U8 and U16 stays
-    /// untouched; otherwise the int16 path runs.
-    void scatterGemm(const TensorD &input, bool useShifts,
-                     TensorI32 &xq, TensorI32 &U32, TensorI16 &U16,
-                     TensorI8 &U8, TensorI32 &M,
-                     gemm::ParallelRunner *runner) const;
+    /// One lane's chunk buffers for the integer stages.
+    struct ChunkBuffers
+    {
+        std::int32_t *u32 = nullptr; ///< B-transformed taps
+        std::int16_t *u16 = nullptr; ///< int16 operand; null with u8
+        std::uint8_t *u8 = nullptr;  ///< biased-u8 operand, or null
+        std::int32_t *m = nullptr;   ///< widening GEMM output
+        std::size_t uElems = 0;      ///< one lane's U elements
+        std::size_t mElems = 0;      ///< one lane's M elements
+
+        /// Lane `l`'s slice of [lanes x chunk] buffers.
+        ChunkBuffers lane(std::size_t l) const;
+    };
+
+    /// Quantize the whole blocked input into xq, once per layer.
+    void quantizeInput(const TensorD &input, TensorI32 &xq) const;
+
+    /// The chunk geometry both forward paths walk.
+    TileChunks chunks(const WinoDims &d, std::size_t lanes) const;
+
+    /// Grow the [lanes x chunk] integer buffers; lane 0's slice.
+    ChunkBuffers chunkBuffers(const TileChunks &c, std::size_t lanes,
+                              TensorI32 &U32, TensorI16 &U16,
+                              TensorI8 &U8, TensorI32 &M) const;
+
+    /// The integer stages of one chunk, shared by both forward paths:
+    /// fused input transform, S_B rescale (shift- or round-based),
+    /// widening per-tap GEMM into b.m. With the u8 kernel engaged
+    /// (8-bit operands on a VNNI host) the rescale emits the
+    /// biased-u8 operand; otherwise the int16 path runs.
+    void scatterGemmChunk(const TensorI32 &xq, const TileChunk &c,
+                          bool useShifts, const ChunkBuffers &b) const;
 
     const IntWinogradConv *conv_;
     std::size_t cout_ = 0;

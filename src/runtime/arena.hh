@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "tensor/tensor.hh"
@@ -52,42 +53,58 @@ class ScratchArena
     TensorD &
     tensor(Slot slot, const Shape &shape)
     {
-        return shaped(dslots_, slot, shape);
+        return shaped<double>(slot, shape);
     }
 
     /** Same contract for int8 tensors (quantized im2col operands). */
     TensorI8 &
     tensorI8(Slot slot, const Shape &shape)
     {
-        return shaped(i8slots_, slot, shape);
+        return shaped<std::int8_t>(slot, shape);
     }
 
     /** Same contract for int32 tensors (widening GEMM accumulators). */
     TensorI32 &
     tensorI32(Slot slot, const Shape &shape)
     {
-        return shaped(i32slots_, slot, shape);
+        return shaped<std::int32_t>(slot, shape);
     }
 
     /** Same contract for int16 tensors (blocked int8 tap operands). */
     TensorI16 &
     tensorI16(Slot slot, const Shape &shape)
     {
-        return shaped(i16slots_, slot, shape);
+        return shaped<std::int16_t>(slot, shape);
     }
 
     /** Same contract for fp32 tensors (f16 engine compute planes). */
     TensorF &
     tensorF(Slot slot, const Shape &shape)
     {
-        return shaped(fslots_, slot, shape);
+        return shaped<float>(slot, shape);
     }
 
     /** Same contract for binary16 tensors (f16 storage activations). */
     TensorF16 &
     tensorF16(Slot slot, const Shape &shape)
     {
-        return shaped(f16slots_, slot, shape);
+        return shaped<std::uint16_t>(slot, shape);
+    }
+
+    /**
+     * The slot's tensor as it stands (empty on first use), for a
+     * callee that sizes its own scratch: the blocked Winograd chunk
+     * buffers grow to the largest chunk and never shrink, so layers of
+     * different sizes share one allocation without re-zeroing it.
+     */
+    template <typename T>
+    Tensor<T> &
+    buffer(Slot slot)
+    {
+        auto &slots = std::get<std::deque<Tensor<T>>>(slots_);
+        while (slot >= slots.size())
+            slots.emplace_back();
+        return slots[slot];
     }
 
     /** Slots holding live storage in this arena (any type). */
@@ -95,32 +112,26 @@ class ScratchArena
     slotCount() const
     {
         std::size_t live = 0;
-        for (const TensorD &t : dslots_)
-            live += t.numel() > 0;
-        for (const TensorI8 &t : i8slots_)
-            live += t.numel() > 0;
-        for (const TensorI32 &t : i32slots_)
-            live += t.numel() > 0;
-        for (const TensorI16 &t : i16slots_)
-            live += t.numel() > 0;
-        for (const TensorF &t : fslots_)
-            live += t.numel() > 0;
-        for (const TensorF16 &t : f16slots_)
-            live += t.numel() > 0;
+        forEachSlot([&](std::size_t n, std::size_t) { live += n > 0; });
         return live;
     }
 
-  private:
-    // Slots live in deques so growing the arena never invalidates a
-    // Tensor& handed out for another slot (a layer holds its output
-    // while the backend draws its own scratch slots).
-    template <typename T>
-    static Tensor<T> &
-    shaped(std::deque<Tensor<T>> &slots, Slot slot, const Shape &shape)
+    /** Bytes of storage held by every slot of this arena. */
+    std::size_t
+    bytes() const
     {
-        while (slot >= slots.size())
-            slots.emplace_back();
-        Tensor<T> &t = slots[slot];
+        std::size_t total = 0;
+        forEachSlot(
+            [&](std::size_t n, std::size_t elem) { total += n * elem; });
+        return total;
+    }
+
+  private:
+    template <typename T>
+    Tensor<T> &
+    shaped(Slot slot, const Shape &shape)
+    {
+        Tensor<T> &t = buffer<T>(slot);
         if (t.shape() != shape) {
             // Recycle the backing vector: capacity is kept when
             // shrinking and grows monotonically otherwise.
@@ -131,12 +142,30 @@ class ScratchArena
         return t;
     }
 
-    std::deque<TensorD> dslots_;
-    std::deque<TensorI8> i8slots_;
-    std::deque<TensorI32> i32slots_;
-    std::deque<TensorI16> i16slots_;
-    std::deque<TensorF> fslots_;
-    std::deque<TensorF16> f16slots_;
+    /// fn(numel, element bytes) for every slot of every type.
+    template <typename Fn>
+    void
+    forEachSlot(Fn fn) const
+    {
+        std::apply(
+            [&](const auto &...slots) {
+                (
+                    [&](const auto &typed) {
+                        for (const auto &t : typed)
+                            fn(t.numel(), sizeof(*t.data()));
+                    }(slots),
+                    ...);
+            },
+            slots_);
+    }
+
+    // Slots live in deques so growing the arena never invalidates a
+    // Tensor& handed out for another slot (a layer holds its output
+    // while the backend draws its own scratch slots).
+    std::tuple<std::deque<TensorD>, std::deque<TensorI8>,
+               std::deque<TensorI32>, std::deque<TensorI16>,
+               std::deque<TensorF>, std::deque<TensorF16>>
+        slots_;
 };
 
 } // namespace twq

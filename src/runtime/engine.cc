@@ -229,13 +229,24 @@ class WinogradFp32Backend : public ConvBackend
 
 // ------------------------------------------- blocked-layout Winograd
 
+/** A blocked Winograd layer's physical MACs: the padded lanes compute
+ * too. */
+double
+blockedMacs(const WinoDims &d, std::size_t cinb, std::size_t coutb)
+{
+    return static_cast<double>(d.t * d.t) *
+           static_cast<double>(coutb * kLayoutBlock) *
+           static_cast<double>(cinb * kLayoutBlock) *
+           static_cast<double>(d.tiles);
+}
+
 struct WinogradBlockedPrepared : PreparedLayer
 {
     /// c-blocked tap weights feeding the NCHWc8 per-tap kernel.
     BlockedTapWeights weights;
     std::size_t pad = 1;
-    ScratchArena::Slot scatter = 0; ///< U buffer slot
-    ScratchArena::Slot gemm = 0;    ///< M buffer slot
+    ScratchArena::Slot scatter = 0; ///< U chunk-buffer slot
+    ScratchArena::Slot gemm = 0;    ///< M chunk-buffer slot
     std::vector<double> bias8;      ///< per-lane bias [coutb*8]; empty = none
     bool relu = false;
 };
@@ -285,8 +296,11 @@ class WinogradBlockedBackend : public ConvBackend
         prep->weights = blockedTapWeights(
             winogradPrepareTapWeights(weights, build.variant));
         prep->pad = build.params.pad;
-        prep->scatter = layerSlot("winoc8.U", desc.name);
-        prep->gemm = layerSlot("winoc8.M", desc.name);
+        // Chunk buffers are sized by the chunk geometry, not by the
+        // layer (layout/wino_blocked.hh), so one process-wide slot per
+        // buffer serves every layer and stays hot from layer to layer.
+        prep->scatter = ScratchArena::resolve("winoc8.U");
+        prep->gemm = ScratchArena::resolve("winoc8.M");
         prep->bias8 = blockedBias<double>(
             epilogueBias(build.epilogue, desc));
         prep->relu = build.epilogue.relu;
@@ -313,23 +327,12 @@ class WinogradBlockedBackend : public ConvBackend
     {
         const auto &p =
             static_cast<const WinogradBlockedPrepared &>(prep);
-        const WinoDims d = winoDims(
-            {input.dim(0), input.dim(1) * kLayoutBlock, input.dim(2),
-             input.dim(3)},
-            p.weights.variant, p.pad);
-        const std::size_t tt = d.t * d.t;
-        TensorD &U = scratch.tensor(
-            p.scatter, {tt, p.weights.cinb, d.tiles, kLayoutBlock});
-        TensorD &M = scratch.tensor(
-            p.gemm, {tt, p.weights.coutb, d.tiles, kLayoutBlock});
-        // Physical MACs: the padded lanes compute too.
-        const double macs =
-            static_cast<double>(tt) *
-            static_cast<double>(p.weights.coutb * kLayoutBlock) *
-            static_cast<double>(p.weights.cinb * kLayoutBlock) *
-            static_cast<double>(d.tiles);
+        const WinoDims d =
+            winoDimsBlocked(input.shape(), p.weights.variant, p.pad);
         conv2dWinogradBlockedInto(
-            input, p.weights, p.pad, U, M, out, ctx.runnerFor(macs),
+            input, p.weights, p.pad, scratch.buffer<double>(p.scatter),
+            scratch.buffer<double>(p.gemm), out,
+            ctx.runnerFor(blockedMacs(d, p.weights.cinb, p.weights.coutb)),
             p.bias8.empty() ? nullptr : p.bias8.data(), p.relu);
     }
 };
@@ -345,11 +348,12 @@ struct WinogradBlockedInt8Prepared : PreparedLayer
     /// `conv`, so declaration order matters.
     std::unique_ptr<BlockedIntWinograd> blocked;
     ScratchArena::Slot quantized = 0; ///< int32 blocked-input slot
-    ScratchArena::Slot scatter = 0;   ///< int32 B-transformed slot
-    ScratchArena::Slot narrowed = 0;  ///< int16 GEMM-operand slot
-    ScratchArena::Slot narrowed8 = 0; ///< biased-u8 GEMM-operand slot
-    ScratchArena::Slot gemm = 0;      ///< int32 M buffer slot
-    ScratchArena::Slot dequant = 0;   ///< f64 rescaled-M slot
+    // Chunk-buffer slots:
+    ScratchArena::Slot scatter = 0;   ///< int32 B-transformed taps
+    ScratchArena::Slot narrowed = 0;  ///< int16 GEMM operand
+    ScratchArena::Slot narrowed8 = 0; ///< biased-u8 GEMM operand
+    ScratchArena::Slot gemm = 0;      ///< int32 M
+    ScratchArena::Slot dequant = 0;   ///< f64 rescaled M
     std::vector<double> bias8; ///< per-lane bias [coutb*8]; empty = none
     bool relu = false;
 };
@@ -409,12 +413,12 @@ class WinogradBlockedInt8Backend : public ConvBackend
             weights, *build.calibration, cfg, build.calCache);
         prep->blocked =
             std::make_unique<BlockedIntWinograd>(*prep->conv);
-        prep->quantized = layerSlot("winoc8i.xq", desc.name);
-        prep->scatter = layerSlot("winoc8i.U32", desc.name);
-        prep->narrowed = layerSlot("winoc8i.U16", desc.name);
-        prep->narrowed8 = layerSlot("winoc8i.U8", desc.name);
-        prep->gemm = layerSlot("winoc8i.M", desc.name);
-        prep->dequant = layerSlot("winoc8i.Md", desc.name);
+        prep->quantized = ScratchArena::resolve("winoc8i.xq");
+        prep->scatter = ScratchArena::resolve("winoc8i.U32");
+        prep->narrowed = ScratchArena::resolve("winoc8i.U16");
+        prep->narrowed8 = ScratchArena::resolve("winoc8i.U8");
+        prep->gemm = ScratchArena::resolve("winoc8i.M");
+        prep->dequant = ScratchArena::resolve("winoc8i.Md");
         prep->bias8 = blockedBias<double>(
             epilogueBias(build.epilogue, desc));
         prep->relu = build.epilogue.relu;
@@ -445,28 +449,15 @@ class WinogradBlockedInt8Backend : public ConvBackend
         const WinoDims d =
             winoDimsBlocked(input.shape(), p.conv->config().variant,
                             p.conv->config().pad);
-        const std::size_t tt = d.t * d.t;
-        TensorI32 &xq = scratch.tensorI32(p.quantized, input.shape());
-        const Shape ushape{tt, p.blocked->cinb(), d.tiles,
-                           kLayoutBlock};
-        TensorI32 &U32 = scratch.tensorI32(p.scatter, ushape);
-        TensorI16 &U16 = scratch.tensorI16(p.narrowed, ushape);
-        TensorI8 &U8 = scratch.tensorI8(p.narrowed8, ushape);
-        TensorI32 &M = scratch.tensorI32(
-            p.gemm,
-            {tt, p.blocked->coutb(), d.tiles, kLayoutBlock});
-        TensorD &Md = scratch.tensor(
-            p.dequant,
-            {tt, p.blocked->coutb(), d.tiles, kLayoutBlock});
-        // Physical MACs: the padded lanes compute too.
-        const double macs =
-            static_cast<double>(tt) *
-            static_cast<double>(p.blocked->coutb() * kLayoutBlock) *
-            static_cast<double>(p.blocked->cinb() * kLayoutBlock) *
-            static_cast<double>(d.tiles);
         p.blocked->forwardInto(
-            input, xq, U32, U16, U8, M, Md, out,
-            ctx.runnerFor(macs),
+            input, scratch.tensorI32(p.quantized, input.shape()),
+            scratch.buffer<std::int32_t>(p.scatter),
+            scratch.buffer<std::int16_t>(p.narrowed),
+            scratch.buffer<std::int8_t>(p.narrowed8),
+            scratch.buffer<std::int32_t>(p.gemm),
+            scratch.buffer<double>(p.dequant), out,
+            ctx.runnerFor(
+                blockedMacs(d, p.blocked->cinb(), p.blocked->coutb())),
             p.bias8.empty() ? nullptr : p.bias8.data(), p.relu);
     }
 };
@@ -478,8 +469,8 @@ struct WinogradBlockedF16Prepared : PreparedLayer
     /// c-blocked tap weights narrowed to binary16 storage.
     BlockedTapWeightsF16 weights;
     std::size_t pad = 1;
-    ScratchArena::Slot scatter = 0; ///< U fp32 buffer slot
-    ScratchArena::Slot gemm = 0;    ///< M fp32 buffer slot
+    ScratchArena::Slot scatter = 0; ///< U fp32 chunk-buffer slot
+    ScratchArena::Slot gemm = 0;    ///< M fp32 chunk-buffer slot
     ScratchArena::Slot inHalf = 0;  ///< half input slot (run() seam)
     ScratchArena::Slot outHalf = 0; ///< half output slot (run() seam)
     std::vector<float> bias8; ///< per-lane bias [coutb*8]; empty = none
@@ -537,10 +528,10 @@ class WinogradBlockedF16Backend : public ConvBackend
         prep->weights = blockedTapWeightsF16(
             winogradPrepareTapWeights(weights, build.variant));
         prep->pad = build.params.pad;
-        prep->scatter = layerSlot("winoc8h.U", desc.name);
-        prep->gemm = layerSlot("winoc8h.M", desc.name);
-        prep->inHalf = layerSlot("winoc8h.xh", desc.name);
-        prep->outHalf = layerSlot("winoc8h.yh", desc.name);
+        prep->scatter = ScratchArena::resolve("winoc8h.U");
+        prep->gemm = ScratchArena::resolve("winoc8h.M");
+        prep->inHalf = ScratchArena::resolve("winoc8h.xh");
+        prep->outHalf = ScratchArena::resolve("winoc8h.yh");
         prep->bias8 = blockedBias<float>(
             epilogueBias(build.epilogue, desc));
         prep->relu = build.epilogue.relu;
@@ -570,19 +561,10 @@ class WinogradBlockedF16Backend : public ConvBackend
             static_cast<const WinogradBlockedF16Prepared &>(prep);
         const WinoDims d = winoDimsBlocked(
             input.shape(), p.weights.variant, p.pad);
-        const std::size_t tt = d.t * d.t;
-        TensorF &U = scratch.tensorF(
-            p.scatter, {tt, p.weights.cinb, d.tiles, kLayoutBlock});
-        TensorF &M = scratch.tensorF(
-            p.gemm, {tt, p.weights.coutb, d.tiles, kLayoutBlock});
-        // Physical MACs: the padded lanes compute too.
-        const double macs =
-            static_cast<double>(tt) *
-            static_cast<double>(p.weights.coutb * kLayoutBlock) *
-            static_cast<double>(p.weights.cinb * kLayoutBlock) *
-            static_cast<double>(d.tiles);
         conv2dWinogradBlockedF16Into(
-            input, p.weights, p.pad, U, M, out, ctx.runnerFor(macs),
+            input, p.weights, p.pad, scratch.buffer<float>(p.scatter),
+            scratch.buffer<float>(p.gemm), out,
+            ctx.runnerFor(blockedMacs(d, p.weights.cinb, p.weights.coutb)),
             p.bias8.empty() ? nullptr : p.bias8.data(), p.relu);
     }
 

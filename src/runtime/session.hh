@@ -147,11 +147,11 @@ struct SessionConfig
      * life of this session and write a Chrome trace-event JSON —
      * loadable in chrome://tracing or Perfetto — to this path when
      * the session is destroyed. The trace carries one lane per
-     * worker/dispatcher thread with per-layer stage spans (quantize,
-     * the blocked engines' fused input and output transforms, the
-     * NCHW Winograd engine's gather/B-kron/untile, per-tap GEMM,
-     * rescale), batching waits, pool shards, and autoSelect probe
-     * spans from the build.
+     * worker/dispatcher thread with per-layer stage spans (the
+     * blocked engines' chunk walk — one span per layer, not per
+     * chunk — and the int8 engine's quantize; the NCHW Winograd
+     * engine's gather/B-kron/per-tap GEMM/untile), batching waits,
+     * pool shards, and autoSelect probe spans from the build.
      * Tracing is process-global; one traced session at a time. Empty
      * (the default) leaves tracing off, which costs one predicted
      * branch per span site.

@@ -11,7 +11,8 @@
  * tolerance-equal to the NCHW engine. Also covers the widening
  * layout kernels (tap GEMM, integer kron, requantization narrowing)
  * against their scalar references, and sharded == serial bit-identity
- * for the blocked int8 tap GEMM.
+ * for the blocked int8 chunk walk. The two largest cases span several
+ * chunks with chunk edges inside images.
  */
 
 #include <gtest/gtest.h>
@@ -224,7 +225,13 @@ INSTANTIATE_TEST_SUITE_P(
         Case{WinoVariant::F4, 8, QuantGranularity::TapWise, false,
              {1, 3, 8, 8}, 5},
         Case{WinoVariant::F2, 10, QuantGranularity::TapWise, false,
-             {2, 2, 7, 5}, 3}),
+             {2, 2, 7, 5}, 3},
+        // Layers spanning several chunks, with chunk edges inside
+        // images (layout/wino_blocked.hh tileChunks).
+        Case{WinoVariant::F4, 8, QuantGranularity::TapWise, true,
+             {2, 17, 44, 60}, 19},
+        Case{WinoVariant::F2, 8, QuantGranularity::TapWise, false,
+             {2, 17, 30, 44}, 19}),
     [](const ::testing::TestParamInfo<Case> &info) {
         const Case &c = info.param;
         std::string name = winoName(c.variant);

@@ -814,5 +814,53 @@ TEST(PShardedTapGemm, ParallelMatchesSerialBitExact)
     pool.shutdown();
 }
 
+TEST(BlockedChunkScratch, DoesNotGrowWithBatchSize)
+{
+    // One image of this layer already fills several chunks, so the
+    // chunk buffers reach their full size at N = 1; at N = 8 only the
+    // int8 engine's whole-input quantized copy (xq) may grow.
+    ConvLayerDesc desc;
+    desc.name = "wide";
+    desc.cin = 16;
+    desc.cout = 16;
+    desc.kernel = 3;
+    desc.stride = 1;
+    desc.height = 64;
+    desc.width = 64;
+    const TensorD weights = randomInput({16, 16, 3, 3}, 1200);
+    std::vector<TensorD> calibration{randomInput({1, 16, 64, 64}, 1201)};
+    LayerBuild build;
+    build.params = ConvParams{3, 1, 1};
+    build.variant = WinoVariant::F4;
+    build.quant.variant = WinoVariant::F4;
+    build.quant.pow2Scales = true;
+    build.calibration = &calibration;
+
+    for (const ConvEngine engine :
+         {ConvEngine::WinogradBlocked, ConvEngine::WinogradBlockedInt8}) {
+        const std::shared_ptr<const ConvBackend> backend =
+            EngineRegistry::instance().get(engine);
+        const auto prep = backend->prepare(desc, weights, build);
+        ScratchArena scratch;
+        std::size_t bytes[2] = {};
+        std::size_t inputElems[2] = {};
+        for (const std::size_t n : {std::size_t{1}, std::size_t{8}}) {
+            const TensorD x = randomInput({n, 16, 64, 64}, 1202 + n);
+            TensorD xb(blockedShape(x.shape()));
+            nchwToBlocked(x, xb);
+            TensorD out(backend->outputShape(*prep, xb.shape()));
+            backend->run(*prep, xb, scratch, out, RunContext{});
+            bytes[n > 1] = scratch.bytes();
+            inputElems[n > 1] = xb.numel();
+        }
+        const std::size_t xqGrowth =
+            engine == ConvEngine::WinogradBlockedInt8
+                ? (inputElems[1] - inputElems[0]) * sizeof(std::int32_t)
+                : 0;
+        EXPECT_GT(bytes[0], 0u) << convEngineName(engine);
+        EXPECT_EQ(bytes[1], bytes[0] + xqGrowth) << convEngineName(engine);
+    }
+}
+
 } // namespace
 } // namespace twq

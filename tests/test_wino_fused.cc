@@ -5,7 +5,9 @@
  * and output kernels against the staged reference (tile gather +
  * Kronecker row pass, Kronecker row pass + untile), the integer input
  * kernel bit for bit against gather + kronI32, the AVX2 kernels bit
- * for bit against their scalar references, and batched/sharded runs
+ * for bit against their scalar references, the chunk geometry's
+ * invariants, the chunked fp64 and f16 convolutions bit for bit
+ * against the whole-layer composition, and batched/sharded runs
  * against sequential/serial ones for the fp64, f16 and int8 engines.
  *
  * Error bound: the fused fp transforms reassociate the kron's sums (a
@@ -293,6 +295,166 @@ TEST_P(FusedTransforms, F16OutputMatchesKronUntileNarrow)
                            std::string(winoName(v)) + " f16 bias " +
                                std::to_string(withBias) + " relu " +
                                std::to_string(relu));
+            }
+        }
+    }
+}
+
+/// NCHWc8 input dims giving `tilesX` x `tilesY` tiles per image, the
+/// last tile in each direction partial.
+Shape
+shapeForTiles(std::size_t n, std::size_t c, std::size_t tilesY,
+              std::size_t tilesX, WinoVariant v, std::size_t pad)
+{
+    const std::size_t m = winoSpec(v).m;
+    return {n, c, tilesY * m + 1 - 2 * pad, tilesX * m + 1 - 2 * pad};
+}
+
+TEST_P(FusedTransforms, ChunkedConvsMatchWholeLayerComposition)
+{
+    const WinoVariant v = GetParam();
+    const std::size_t tt = winoSpec(v).t * winoSpec(v).t;
+    ThreadPool pool(2);
+    PoolRunner runner(pool, pool.size()); // 3 lanes
+    std::uint64_t seed = 1000;
+    std::size_t midImageEdges = 0;
+    for (const std::size_t pad : {0, 1}) {
+        for (const std::size_t c : {3, 17}) {
+            for (const std::size_t tilesX : {1, 3, 5, 17}) {
+                const Shape shape = shapeForTiles(2, c, 7, tilesX, v, pad);
+                const std::size_t cout = c + 2;
+                const WinogradTapWeights<double> taps =
+                    winogradPrepareTapWeights(
+                        randomTensor({cout, c, 3, 3}, seed++), v);
+                const BlockedTapWeights w = blockedTapWeights(taps);
+                const BlockedTapWeightsF16 wh = blockedTapWeightsF16(taps);
+                const std::vector<double> bias =
+                    randomBias<double>(cout, w.coutb, seed++);
+                const std::vector<float> biasF(bias.begin(), bias.end());
+                const TensorD xb = randomBlocked(shape, seed++);
+                TensorF16 xh;
+                tensorDToF16(xb, xh);
+                const WinoDims d = winoDimsBlocked(xb.shape(), v, pad);
+                const Shape oshape{d.n, w.coutb, d.ho, d.wo, kB};
+                const std::string what = std::string(winoName(v)) +
+                                         " pad " + std::to_string(pad) +
+                                         " C " + std::to_string(c) +
+                                         " tilesX " +
+                                         std::to_string(tilesX);
+
+                // Whole layer: input transform, tap GEMM, output
+                // transform over all P tiles at once.
+                TensorD U, M, ref(oshape);
+                winogradInputTransformBlocked(xb, v, pad, U);
+                winogradTapGemmBlocked(w, U, M);
+                winogradOutputTransformBlocked(M, v, ref, bias.data(),
+                                               true);
+                TensorF Uh, Mh({tt, wh.coutb, d.tiles, kB});
+                TensorF16 refH(oshape);
+                winogradInputTransformBlocked(xh, v, pad, Uh);
+                for (std::size_t k = 0; k < tt; ++k)
+                    layout::f16Kernels().tapGemm(
+                        wh.tap(k), Uh.data() + k * wh.cinb * d.tiles * kB,
+                        Mh.data() + k * wh.coutb * d.tiles * kB,
+                        wh.coutb, wh.cinb, d.tiles, 0, d.tiles);
+                winogradOutputTransformBlocked(Mh, v, refH, biasF.data(),
+                                               true);
+
+                for (gemm::ParallelRunner *r :
+                     {static_cast<gemm::ParallelRunner *>(nullptr),
+                      static_cast<gemm::ParallelRunner *>(&runner)}) {
+                    const TileChunks ch = tileChunks(
+                        d, w.cinb, w.coutb, sizeof(double),
+                        r ? r->lanes() : 1);
+                    for (std::size_t i = 1; i < ch.chunks; ++i)
+                        midImageEdges += ch.firstRow(i) % d.tilesY != 0;
+                    TensorD Uc, Mc, out(oshape);
+                    conv2dWinogradBlockedInto(xb, w, pad, Uc, Mc, out, r,
+                                              bias.data(), true);
+                    EXPECT_TRUE(out == ref)
+                        << what << (r ? " sharded" : " serial");
+                    TensorF Uch, Mch;
+                    TensorF16 outH(oshape);
+                    conv2dWinogradBlockedF16Into(xh, wh, pad, Uch, Mch,
+                                                 outH, r, biasF.data(),
+                                                 true);
+                    EXPECT_TRUE(outH == refH)
+                        << what << " f16" << (r ? " sharded" : " serial");
+                }
+            }
+        }
+    }
+    pool.shutdown();
+    // The grid must put chunk edges inside images, not only between.
+    EXPECT_GT(midImageEdges, 0u);
+}
+
+TEST(TileChunks, GeometryInvariants)
+{
+    for (const WinoVariant v :
+         {WinoVariant::F2, WinoVariant::F4, WinoVariant::F6}) {
+        const std::size_t tt = winoSpec(v).t * winoSpec(v).t;
+        for (const std::size_t cb : {1, 2, 3, 4, 8}) {
+            for (const std::size_t n : {1, 3, 8}) {
+                for (const std::size_t hw : {8, 16, 32, 57}) {
+                    for (const std::size_t elemBytes : {4, 8}) {
+                        for (const std::size_t lanes : {1, 3, 5}) {
+                            const WinoDims d =
+                                winoDims({n, cb * kB, hw, hw}, v, 1);
+                            const std::size_t cinb = cb, coutb = 2 * cb;
+                            const TileChunks c = tileChunks(
+                                d, cinb, coutb, elemBytes, lanes);
+                            const std::string what =
+                                std::string(winoName(v)) + " Cb " +
+                                std::to_string(cb) + " N " +
+                                std::to_string(n) + " hw " +
+                                std::to_string(hw) + " e " +
+                                std::to_string(elemBytes) + " lanes " +
+                                std::to_string(lanes);
+                            ASSERT_EQ(c.rows, d.n * d.tilesY) << what;
+                            ASSERT_GE(c.chunks, 1u) << what;
+                            // Whole rows, each row exactly once, every
+                            // chunk at least one row and within the
+                            // buffer.
+                            std::size_t covered = 0;
+                            for (std::size_t i = 0; i < c.chunks; ++i) {
+                                ASSERT_EQ(c.firstRow(i), covered) << what;
+                                const std::size_t rows =
+                                    c.firstRow(i + 1) - c.firstRow(i);
+                                ASSERT_GE(rows, 1u) << what;
+                                ASSERT_LE(rows, c.rowsPerChunk) << what;
+                                ASSERT_LE(rows * d.tilesX,
+                                          c.tapStrideTiles)
+                                    << what;
+                                covered += rows;
+                            }
+                            ASSERT_EQ(covered, c.rows) << what;
+                            // U + M within the budget, unless the
+                            // chunk buffer holds a single row.
+                            const std::size_t bytes =
+                                (c.laneElems(tt, cinb) +
+                                 c.laneElems(tt, coutb)) *
+                                elemBytes;
+                            if (c.tapStrideTiles > d.tilesX + 1)
+                                EXPECT_LE(bytes, kChunkBudgetBytes)
+                                    << what;
+                            // No tap stride aliases at 4 KiB.
+                            for (const std::size_t b : {cinb, coutb})
+                                EXPECT_NE(b * c.tapStrideTiles * kB *
+                                              elemBytes %
+                                              kAliasStrideBytes,
+                                          0u)
+                                    << what;
+                            // Every lane gets work when the rows allow
+                            // kChunkMinTiles per lane.
+                            const std::size_t minRows =
+                                (kChunkMinTiles + d.tilesX - 1) /
+                                d.tilesX;
+                            if (c.rows >= lanes * minRows)
+                                EXPECT_GE(c.chunks, lanes) << what;
+                        }
+                    }
+                }
             }
         }
     }
@@ -610,19 +772,43 @@ TEST(FusedBatching, Int8BatchedIsBitIdenticalToSequential)
 
 TEST(FusedBatching, ShardedTransformsAreBitIdenticalToSerial)
 {
-    const BlockedTapWeights w =
-        blockedTapWeights(winogradPrepareTapWeights(
-            randomTensor({10, kSingle[1], 3, 3}, 930), WinoVariant::F4));
+    // All three engines on a 3-lane runner against their serial runs.
+    const WinogradTapWeights<double> taps = winogradPrepareTapWeights(
+        randomTensor({10, kSingle[1], 3, 3}, 930), WinoVariant::F4);
+    const BlockedTapWeights w = blockedTapWeights(taps);
+    const BlockedTapWeightsF16 wh = blockedTapWeightsF16(taps);
+    IntWinogradConfig cfg;
+    cfg.variant = WinoVariant::F4;
+    cfg.pow2Scales = true;
+    const std::vector<TensorD> cal{randomTensor(kSingle, 932)};
+    const IntWinogradConv conv(randomTensor({10, kSingle[1], 3, 3}, 933),
+                               cal, cfg);
+    const BlockedIntWinograd blk(conv);
     Shape shape = kSingle;
     shape[0] = kBatch;
     const TensorD xb = randomBlocked(shape, 931);
+    TensorF16 xh;
+    tensorDToF16(xb, xh);
     const TensorD serial = conv2dWinogradBlocked(xb, w, 1);
-    ThreadPool pool(3);
+    const TensorF16 serialH = conv2dWinogradBlockedF16(xh, wh, 1);
+    const TensorD serialI = blk.forward(xb);
+
+    ThreadPool pool(2);
     PoolRunner runner(pool, pool.size());
     TensorD U, M, parallel(serial.shape());
     conv2dWinogradBlockedInto(xb, w, 1, U, M, parallel, &runner);
+    TensorF Uh, Mh;
+    TensorF16 parallelH(serialH.shape());
+    conv2dWinogradBlockedF16Into(xh, wh, 1, Uh, Mh, parallelH, &runner);
+    TensorI32 xq, U32, Mi;
+    TensorI16 U16;
+    TensorI8 U8;
+    TensorD Md, parallelI(serialI.shape());
+    blk.forwardInto(xb, xq, U32, U16, U8, Mi, Md, parallelI, &runner);
     pool.shutdown();
-    EXPECT_TRUE(parallel == serial);
+    EXPECT_TRUE(parallel == serial) << "fp64";
+    EXPECT_TRUE(parallelH == serialH) << "f16";
+    EXPECT_TRUE(parallelI == serialI) << "int8";
 }
 
 } // namespace
