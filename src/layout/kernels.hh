@@ -6,8 +6,11 @@
  * Mirrors gemm/kernels.hh: the scalar reference implementations are
  * defined `static` so every TU including this header compiles its own
  * internal-linkage copy under that TU's instruction-set flags, and
- * the AVX2 TU (compiled -mavx2 -mfma, runtime-gated) and NEON TU
- * export resolver functions that return null when unsupported.
+ * the ISA TUs — AVX2 (-mavx2 -mfma), AVX-512F (-mavx512f), AVX-512
+ * VNNI and NEON — export resolver functions that return all-null
+ * tables when unsupported. kernels() stacks them into one overlay
+ * chain, scalar <- AVX2 | NEON <- AVX-512 <- VNNI, each layer filling
+ * only its non-null entries.
  *
  * Two kernels make up the blocked hot path:
  *
@@ -17,11 +20,11 @@
  *    channel), and M is produced as [Coutb, P, 8] — so the inner loop
  *    broadcasts one U element and multiply-accumulates an 8-wide
  *    contiguous weight vector into an 8-wide accumulator: the c-block
- *    is the SIMD lane dimension. Accumulation runs one fused
- *    multiply-add per element in strictly ascending input-channel
- *    order, the same order as the blocked gemm core, so on FMA
- *    hardware the blocked product is bit-identical to the NCHW
- *    per-tap GEMM.
+ *    is the SIMD lane dimension, two ymm or one zmm register.
+ *    Accumulation runs one fused multiply-add per element onto a zero
+ *    accumulator, in strictly ascending input-channel order — the
+ *    order of the blocked gemm core — so every kernel is bit-identical
+ *    to scalarTapGemmD, and on FMA hardware to the NCHW per-tap GEMM.
  *
  *  - winoInput / winoOutput: the fused, tile-local transforms around
  *    it. The input kernel reads each t x t x 8 tile straight from the
@@ -32,8 +35,8 @@
  *    bias/ReLU, and writes the in-range pixels of the output. The
  *    tile never leaves registers and L1 — there is no V or Y buffer.
  *    Every term is a multiply (the first of a row) or a fused
- *    multiply-add, in plan order, so the AVX2 kernels are
- *    bit-identical to the scalar references.
+ *    multiply-add, in plan order, so the AVX2 and AVX-512 kernels
+ *    are bit-identical to the scalar references.
  *
  *  - kron: the B^T (x) B^T / A^T (x) A^T row passes over flat blocked
  *    buffers — the staged form of the same transforms, kept for the
@@ -61,7 +64,13 @@ namespace twq
 namespace layout
 {
 
-/** Tiles processed per accumulator block of the tap-GEMM kernels. */
+/**
+ * Tiles per accumulator block of the scalar, AVX2 and NEON tap-GEMM
+ * kernels, and the column granularity winogradTapGemmBlocked shards
+ * by. The AVX-512 kernel's register tile is 8 tiles (2 output blocks
+ * x 8 tiles in 16 zmm); it takes any column range, with a narrower
+ * tile for the tail.
+ */
 inline constexpr std::size_t kTapPr = 4;
 
 /**
@@ -299,16 +308,28 @@ LayoutKernels avx2LayoutKernels();
 /// NEON kernels (kernels_neon.cc); nulls off aarch64.
 LayoutKernels neonLayoutKernels();
 
-/// AVX-512 VNNI overrides (kernels_vnni.cc): the vpdpbusd u8 x s8
-/// tap GEMM and a vpdpwssd int16 tap GEMM; nulls when not compiled
-/// in or the CPU lacks AVX512VL+VNNI. Merged over the AVX2 table by
-/// kernels().
+/// AVX-512F fp64 kernels (kernels_avx512.cc): the zmm tap GEMM and
+/// fused input / output transforms; nulls when not compiled in or the
+/// CPU lacks AVX512F.
+LayoutKernels avx512LayoutKernels();
+
+/// AVX-512 VNNI kernels (kernels_vnni.cc): the vpdpbusd u8 x s8 tap
+/// GEMM and a vpdpwssd int16 tap GEMM; nulls when not compiled in or
+/// the CPU lacks AVX512VL+VNNI.
 LayoutKernels vnniLayoutKernels();
 
-/// The resolved process-wide kernel set (wino_blocked.cc).
+/**
+ * The resolved process-wide kernel set (wino_blocked.cc): the overlay
+ * chain scalar <- AVX2 | NEON <- AVX-512 <- VNNI, each layer filling
+ * only its non-null entries. The name joins the contributing layers
+ * with '+' (e.g. "avx2+avx512+vnni"; "scalar" when none did).
+ */
 const LayoutKernels &kernels();
 
-/** Scalar reference tap-GEMM; the autovectorization-friendly shape. */
+/**
+ * Scalar reference tap-GEMM; the autovectorization-friendly shape.
+ * std::fma keeps it bit-identical to the vector kernels on any target.
+ */
 template <typename Dummy = void>
 static void
 scalarTapGemmD(const double *w, const double *u, double *m,
@@ -330,7 +351,8 @@ scalarTapGemmD(const double *w, const double *u, double *m,
                     for (std::size_t pp = 0; pp < pr; ++pp) {
                         const double uv = ub[pp * B + li];
                         for (std::size_t l = 0; l < B; ++l)
-                            acc[pp][l] += uv * w8[l];
+                            acc[pp][l] =
+                                std::fma(uv, w8[l], acc[pp][l]);
                     }
                 }
             }

@@ -155,22 +155,17 @@ neonTapGemmI16(const std::int16_t *w, const std::int16_t *u,
 LayoutKernels
 neonLayoutKernels()
 {
-    // The integer kron, requantization and dequant-scale passes keep
-    // the scalar forms on NEON: they autovectorize well, and NEON's
-    // native rounding shifts (vrshr) round halfway cases toward
-    // +inf, not away from zero, so a hand-written version would have
-    // to spend the saved instructions on sign fixups anyway. The
-    // u8 x s8 tap GEMM stays null — it exists for vpdpbusd hosts.
+    // Every other entry stays null, so kernels() keeps the scalar
+    // form: the integer kron, requantization and dequant-scale passes
+    // autovectorize well, and NEON's native rounding shifts (vrshr)
+    // round halfway cases toward +inf, not away from zero, so a
+    // hand-written version would have to spend the saved
+    // instructions on sign fixups anyway. The u8 x s8 tap GEMM
+    // exists for vpdpbusd hosts only.
     LayoutKernels k;
     k.tapGemm = &neonTapGemmD;
     k.kron = &neonKronD;
     k.tapGemmI16 = &neonTapGemmI16;
-    k.kronI32 = &scalarKronI32<>;
-    k.rescaleI16 = &scalarRescaleI16<>;
-    k.rescaleU8 = &scalarRescaleU8<>;
-    k.scaleI32F64 = &scalarScaleI32F64<>;
-    k.quantizeI32 = &scalarQuantizeI32<>;
-    k.quantizeI8 = &scalarQuantizeI8<>;
     k.name = "neon";
     return k;
 }

@@ -2,8 +2,8 @@
  * @file
  * AVX-512 VNNI kernels for the quantized NCHWc8 per-tap GEMM
  * (256-bit vectors, requiring AVX512VL + AVX512VNNI; own ISA flags in
- * CMakeLists.txt, runtime-gated). Merged over the AVX2 table by
- * layout::kernels().
+ * CMakeLists.txt, runtime-gated). The top layer of the
+ * layout::kernels() overlay chain.
  *
  *  - tapGemmU8: the layout-side `vpdpbusd` variant for 8-bit
  *    Winograd-domain operands. The requantized taps arrive biased
@@ -126,7 +126,7 @@ vnniLayoutKernels()
         LayoutKernels k;
         k.tapGemmU8 = &vnniTapGemmU8;
         k.tapGemmI16 = &vnniTapGemmI16;
-        k.name = "avx2+vnni";
+        k.name = "vnni";
         return k;
     }
     return {};

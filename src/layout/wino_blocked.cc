@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
 #include "common/logging.hh"
 #include "layout/kernels.hh"
@@ -37,47 +38,72 @@ winoDimsBlocked(const Shape &s, WinoVariant v, std::size_t pad)
 namespace layout
 {
 
+namespace
+{
+
+/// Put every non-null entry of `top` over `k`. Returns whether `top`
+/// contributed any entry.
+bool
+overlay(LayoutKernels &k, const LayoutKernels &top)
+{
+    bool any = false;
+    const auto put = [&any](auto &dst, auto src) {
+        if (src) {
+            dst = src;
+            any = true;
+        }
+    };
+    put(k.tapGemm, top.tapGemm);
+    put(k.kron, top.kron);
+    put(k.tapGemmI16, top.tapGemmI16);
+    put(k.kronI32, top.kronI32);
+    put(k.rescaleI16, top.rescaleI16);
+    put(k.tapGemmU8, top.tapGemmU8);
+    put(k.rescaleU8, top.rescaleU8);
+    put(k.scaleI32F64, top.scaleI32F64);
+    put(k.quantizeI32, top.quantizeI32);
+    put(k.quantizeI8, top.quantizeI8);
+    put(k.epilogueRowD, top.epilogueRowD);
+    put(k.winoInputD, top.winoInputD);
+    put(k.winoInputI32, top.winoInputI32);
+    put(k.winoOutputD, top.winoOutputD);
+    return any;
+}
+
+} // namespace
+
 const LayoutKernels &
 kernels()
 {
+    // The overlay chain scalar <- AVX2 | NEON <- AVX-512 <- VNNI: each
+    // ISA table fills only the entries it has. The name lists the
+    // layers that contributed because it participates in
+    // PlanCache::signature(): plans measured with one kernel set are
+    // not valid for another.
+    static std::string name;
     static const LayoutKernels t = [] {
-        LayoutKernels k = avx2LayoutKernels();
-        if (!k.tapGemm) {
-            k = neonLayoutKernels();
-            if (!k.tapGemm) {
-                k = LayoutKernels{};
-                k.tapGemm = &scalarTapGemmD<>;
-                k.kron = &scalarKronD<>;
-                k.tapGemmI16 = &scalarTapGemmI16<>;
-                k.kronI32 = &scalarKronI32<>;
-                k.rescaleI16 = &scalarRescaleI16<>;
-                k.rescaleU8 = &scalarRescaleU8<>;
-                k.scaleI32F64 = &scalarScaleI32F64<>;
-                k.quantizeI32 = &scalarQuantizeI32<>;
-                k.quantizeI8 = &scalarQuantizeI8<>;
-                k.name = "scalar";
-            }
-        }
-        // AVX-512 VNNI tap kernels merge over the base table; the
-        // name reflects them because it participates in
-        // PlanCache::signature() — plans measured with the VNNI
-        // kernels are not valid without them.
-        const LayoutKernels v = vnniLayoutKernels();
-        if (v.tapGemmU8) {
-            k.tapGemmU8 = v.tapGemmU8;
-            k.tapGemmI16 = v.tapGemmI16;
-            k.name = v.name;
-        }
-        // ISA tables predating the epilogue row and fused transform
-        // kernels (NEON) fall back to the scalar reference per field.
-        if (!k.epilogueRowD)
-            k.epilogueRowD = &scalarEpilogueRowD<>;
-        if (!k.winoInputD)
-            k.winoInputD = &scalarWinoInputD<>;
-        if (!k.winoInputI32)
-            k.winoInputI32 = &scalarWinoInputI32<>;
-        if (!k.winoOutputD)
-            k.winoOutputD = &scalarWinoOutputD<>;
+        LayoutKernels k;
+        k.tapGemm = &scalarTapGemmD<>;
+        k.kron = &scalarKronD<>;
+        k.tapGemmI16 = &scalarTapGemmI16<>;
+        k.kronI32 = &scalarKronI32<>;
+        k.rescaleI16 = &scalarRescaleI16<>;
+        k.rescaleU8 = &scalarRescaleU8<>;
+        k.scaleI32F64 = &scalarScaleI32F64<>;
+        k.quantizeI32 = &scalarQuantizeI32<>;
+        k.quantizeI8 = &scalarQuantizeI8<>;
+        k.epilogueRowD = &scalarEpilogueRowD<>;
+        k.winoInputD = &scalarWinoInputD<>;
+        k.winoInputI32 = &scalarWinoInputI32<>;
+        k.winoOutputD = &scalarWinoOutputD<>;
+        // AVX2 and NEON never both resolve: each is null off its
+        // architecture.
+        for (const LayoutKernels &layer :
+             {avx2LayoutKernels(), neonLayoutKernels(),
+              avx512LayoutKernels(), vnniLayoutKernels()})
+            if (overlay(k, layer))
+                name.append(name.empty() ? "" : "+").append(layer.name);
+        k.name = name.empty() ? "scalar" : name.c_str();
         return k;
     }();
     return t;

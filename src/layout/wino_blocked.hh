@@ -27,6 +27,10 @@
  * With a runner, chunks shard across lanes, each lane working in its
  * own slice of the buffers — one parallel region per layer.
  *
+ * All three stages dispatch through layout::kernels(), an overlay
+ * chain scalar <- AVX2 | NEON <- AVX-512 <- VNNI; on AVX-512F hosts
+ * the fp64 stages hold one c-block (8 doubles) per zmm register.
+ *
  * Both transforms apply the rows of B^T / A^T as sparse plans
  * (winoInputSep / winoOutputSep), a row pass then a column pass per
  * tile (layout/kernels.hh) — 264 terms per F4 input tile where the
@@ -41,7 +45,8 @@
  * Numerics: the tap GEMM accumulates each element in ascending input
  * channel order with one fused multiply-add per term, like the
  * blocked gemm core, so it is bit-identical to the NCHW per-tap GEMM
- * on FMA hardware. The fused transforms reassociate the kron's sums
+ * on FMA hardware, and every ISA's kernels are bit-identical to the
+ * scalar references. The fused transforms reassociate the kron's sums
  * (row then column pass instead of one L ⊗ L row), so fp results
  * agree with the staged pipeline to rounding, not bit for bit;
  * integer transforms are exact either way. Every tile is computed the

@@ -4,9 +4,10 @@
  * (layout/wino_blocked.hh, layout/kernels.hh): the fp64 and f16 input
  * and output kernels against the staged reference (tile gather +
  * Kronecker row pass, Kronecker row pass + untile), the integer input
- * kernel bit for bit against gather + kronI32, the AVX2 kernels bit
- * for bit against their scalar references, the chunk geometry's
- * invariants, the chunked fp64 and f16 convolutions bit for bit
+ * kernel bit for bit against gather + kronI32, every available SIMD
+ * table's (AVX2, AVX-512, NEON) tap GEMM and fused kernels bit for bit
+ * against their scalar references, the kernel dispatch, the chunk
+ * geometry's invariants, the chunked fp64 and f16 convolutions bit for bit
  * against the whole-layer composition, and batched/sharded runs
  * against sequential/serial ones for the fp64, f16 and int8 engines.
  *
@@ -27,10 +28,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <tuple>
 
 #include "common/rng.hh"
+#include "gemm/gemm.hh"
 #include "layout/kernels.hh"
 #include "layout/kernels_f16.hh"
 #include "layout/wino_blocked.hh"
@@ -496,7 +501,140 @@ TEST(FusedIntTransform, InputBitExactAgainstGatherPlusKronI32)
     }
 }
 
-// ------------------------------------------- AVX2 vs scalar references
+// ------------------------------- SIMD kernel tables vs scalar references
+
+/// The ISA tables checked against the scalar references. A table the
+/// compiler or CPU lacks resolves to all-null entries, and every test
+/// on it skips.
+enum class Isa
+{
+    Avx2,
+    Avx512,
+    Neon
+};
+
+const char *
+isaName(Isa isa)
+{
+    switch (isa) {
+      case Isa::Avx2:
+        return "Avx2";
+      case Isa::Avx512:
+        return "Avx512";
+      case Isa::Neon:
+        return "Neon";
+    }
+    return "?";
+}
+
+void
+PrintTo(Isa isa, std::ostream *os)
+{
+    *os << isaName(isa);
+}
+
+layout::LayoutKernels
+tableOf(Isa isa)
+{
+    switch (isa) {
+      case Isa::Avx2:
+        return layout::avx2LayoutKernels();
+      case Isa::Avx512:
+        return layout::avx512LayoutKernels();
+      case Isa::Neon:
+        return layout::neonLayoutKernels();
+    }
+    return {};
+}
+
+class TapGemmKernels : public ::testing::TestWithParam<Isa>
+{};
+
+TEST_P(TapGemmKernels, MatchScalarBitForBitWithinTheirColumns)
+{
+    const Isa isa = GetParam();
+    const layout::TapGemmDFn gemm = tableOf(isa).tapGemm;
+    if (!gemm)
+        GTEST_SKIP() << isaName(isa) << ": no fp64 tap GEMM on this host";
+    // No product is NaN, so a NaN left in place shows an untouched
+    // column.
+    const double sentinel = std::numeric_limits<double>::quiet_NaN();
+    constexpr std::size_t p0 = 3;
+    std::uint64_t seed = 900;
+    for (const std::size_t coutb : {1, 2, 3, 8}) {
+        for (const std::size_t cinb : {1, 2, 9}) {
+            for (const std::size_t pn : {1, 7, 8, 9, 17}) {
+                const std::size_t P = p0 + pn + 5;
+                const TensorD w =
+                    randomTensor({coutb, cinb * kB, kB}, seed++);
+                const TensorD u = randomTensor({cinb, P, kB}, seed++);
+                TensorD got({coutb, P, kB});
+                std::fill(got.storage().begin(), got.storage().end(),
+                          sentinel);
+                TensorD want = got;
+                gemm(w.data(), u.data(), got.data(), coutb, cinb, P, p0,
+                     pn);
+                layout::scalarTapGemmD<>(w.data(), u.data(),
+                                         want.data(), coutb, cinb, P,
+                                         p0, pn);
+                const std::string what =
+                    std::string(isaName(isa)) + " coutb " +
+                    std::to_string(coutb) + " cinb " +
+                    std::to_string(cinb) + " pn " + std::to_string(pn);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.numel() * sizeof(double)),
+                          0)
+                    << what;
+                for (std::size_t co = 0; co < coutb; ++co)
+                    for (std::size_t p = 0; p < P; ++p) {
+                        const bool inside = p >= p0 && p < p0 + pn;
+                        const double *col =
+                            got.data() + (co * P + p) * kB;
+                        for (std::size_t l = 0; l < kB; ++l)
+                            ASSERT_EQ(std::isnan(col[l]), !inside)
+                                << what << ", column " << p;
+                    }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tables, TapGemmKernels,
+                         ::testing::Values(Isa::Avx2, Isa::Avx512,
+                                           Isa::Neon),
+                         [](const auto &info) {
+                             return std::string(isaName(info.param));
+                         });
+
+TEST(LayoutKernelDispatch, OverlaysAvx512Fp64KernelsWhereAvailable)
+{
+    // Which kernels ran goes into the test report and the log: the
+    // SIMD tests skip on hosts without a table, and a skip reads like
+    // a pass.
+    RecordProperty("layout_kernels", layoutKernelName());
+    RecordProperty("gemm_kernels", gemm::kernelName());
+    std::printf("layout kernels: %s, gemm kernels: %s\n",
+                layoutKernelName(), gemm::kernelName());
+    const std::string name = layoutKernelName();
+    const layout::LayoutKernels &k = layout::kernels();
+    const layout::LayoutKernels avx2 = layout::avx2LayoutKernels();
+    if (avx2.tapGemm) {
+        // Entries the AVX-512F table lacks stay on the AVX2 layer.
+        EXPECT_EQ(k.kron, avx2.kron);
+        EXPECT_EQ(k.winoInputI32, avx2.winoInputI32);
+        EXPECT_EQ(name.rfind("avx2", 0), 0u) << name;
+    }
+    const layout::LayoutKernels z = layout::avx512LayoutKernels();
+    if (!z.tapGemm) {
+        EXPECT_EQ(name.find("avx512"), std::string::npos) << name;
+        GTEST_SKIP() << "no AVX-512F table on this host (layout kernels "
+                     << name << ")";
+    }
+    EXPECT_EQ(k.tapGemm, z.tapGemm);
+    EXPECT_EQ(k.winoInputD, z.winoInputD);
+    EXPECT_EQ(k.winoOutputD, z.winoOutputD);
+    EXPECT_NE(name.find("avx512"), std::string::npos) << name;
+}
 
 /// Run `fn(row)` for every tile row of an input transform, building
 /// the TileRow the way winogradInputTransformBlocked does.
@@ -540,16 +678,22 @@ forOutputRows(const Shape &out, WinoVariant v, Fn fn)
             }
 }
 
-class FusedKernelsAvx2 : public ::testing::TestWithParam<WinoVariant>
+/// (table, variant): the fused fp64 kernels of the x86 tables, plus
+/// the f16 and int32 companions where the table has them (AVX2 only).
+class FusedKernelsSimd
+    : public ::testing::TestWithParam<std::tuple<Isa, WinoVariant>>
 {};
 
-TEST_P(FusedKernelsAvx2, InputKernelsMatchScalarBitForBit)
+TEST_P(FusedKernelsSimd, InputKernelsMatchScalarBitForBit)
 {
-    const WinoVariant v = GetParam();
-    const layout::LayoutKernels avx = layout::avx2LayoutKernels();
-    const layout::F16Kernels avxH = layout::avx2F16Kernels();
-    if (!avx.winoInputD || !avxH.winoInput)
-        GTEST_SKIP() << "no AVX2/F16C kernels on this host";
+    const auto [isa, v] = GetParam();
+    const layout::LayoutKernels avx = tableOf(isa);
+    if (!avx.winoInputD)
+        GTEST_SKIP() << isaName(isa)
+                     << ": no fused fp64 input kernel on this host";
+    const layout::F16Kernels avxH = isa == Isa::Avx2
+                                        ? layout::avx2F16Kernels()
+                                        : layout::F16Kernels{};
     const WinoSpec spec = winoSpec(v);
     std::uint64_t seed = 700;
     for (const std::size_t pad : {0, 1}) {
@@ -571,6 +715,8 @@ TEST_P(FusedKernelsAvx2, InputKernelsMatchScalarBitForBit)
                              layout::scalarWinoInputD<>(
                                  winoInputSep<double>(v), r,
                                  xb.data() + src, want.data() + dst);
+                             if (!avxH.winoInput)
+                                 return;
                              avxH.winoInput(winoInputSep<float>(v), r,
                                             xh.data() + src,
                                             gotF.data() + dst);
@@ -587,8 +733,9 @@ TEST_P(FusedKernelsAvx2, InputKernelsMatchScalarBitForBit)
                       0)
                 << winoName(v) << " f16 input, pad " << pad;
 
-            if (v == WinoVariant::F6)
-                continue; // integer plans exist for F2/F4 only
+            // Integer plans exist for F2/F4 only.
+            if (v == WinoVariant::F6 || !avx.winoInputI32)
+                continue;
             TensorI32 xq(xb.shape()), gotI(ushape), wantI(ushape);
             Rng rng(seed++);
             for (std::size_t i = 0; i < xq.numel(); ++i)
@@ -610,13 +757,16 @@ TEST_P(FusedKernelsAvx2, InputKernelsMatchScalarBitForBit)
     }
 }
 
-TEST_P(FusedKernelsAvx2, OutputKernelsMatchScalarBitForBit)
+TEST_P(FusedKernelsSimd, OutputKernelsMatchScalarBitForBit)
 {
-    const WinoVariant v = GetParam();
-    const layout::LayoutKernels avx = layout::avx2LayoutKernels();
-    const layout::F16Kernels avxH = layout::avx2F16Kernels();
-    if (!avx.winoOutputD || !avxH.winoOutput)
-        GTEST_SKIP() << "no AVX2/F16C kernels on this host";
+    const auto [isa, v] = GetParam();
+    const layout::LayoutKernels avx = tableOf(isa);
+    if (!avx.winoOutputD)
+        GTEST_SKIP() << isaName(isa)
+                     << ": no fused fp64 output kernel on this host";
+    const layout::F16Kernels avxH = isa == Isa::Avx2
+                                        ? layout::avx2F16Kernels()
+                                        : layout::F16Kernels{};
     const WinoSpec spec = winoSpec(v);
     std::uint64_t seed = 800;
     for (const Shape &shape : kShapes) {
@@ -648,6 +798,8 @@ TEST_P(FusedKernelsAvx2, OutputKernelsMatchScalarBitForBit)
                             winoOutputSep<double>(v), r,
                             M.data() + src, want.data() + dst, b8,
                             relu);
+                        if (!avxH.winoOutput)
+                            return;
                         avxH.winoOutput(winoOutputSep<float>(v), r,
                                         MF.data() + src,
                                         gotH.data() + dst, b8F, relu);
@@ -669,13 +821,15 @@ TEST_P(FusedKernelsAvx2, OutputKernelsMatchScalarBitForBit)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, FusedKernelsAvx2,
-                         ::testing::Values(WinoVariant::F2,
-                                           WinoVariant::F4,
-                                           WinoVariant::F6),
-                         [](const auto &info) {
-                             return std::string(winoName(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    TablesAndVariants, FusedKernelsSimd,
+    ::testing::Combine(::testing::Values(Isa::Avx2, Isa::Avx512),
+                       ::testing::Values(WinoVariant::F2, WinoVariant::F4,
+                                         WinoVariant::F6)),
+    [](const auto &info) {
+        return std::string(isaName(std::get<0>(info.param))) + "_" +
+               winoName(std::get<1>(info.param));
+    });
 
 // ------------------------------------ batched == sequential, all three
 
