@@ -186,7 +186,8 @@ GemmS8Fn avx2GemmS8Pair();
 
 /// AVX-512 VNNI kernel (kernels_int8_vnni.cc): vpdpbusd on u8 x s8
 /// with the packed A operand offset by +128 and a per-row
-/// compensation term. Null without AVX512VL+VNNI.
+/// compensation term. Null when not compiled in or the CPU lacks any
+/// of AVX2, AVX512F/VL/BW/VNNI (the TU's ISA flags).
 GemmS8Fn vnniGemmS8();
 
 /// NEON smull/sadalp widening kernel (kernels_neon.cc); null off

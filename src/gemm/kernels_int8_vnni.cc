@@ -1,9 +1,9 @@
 /**
  * @file
  * AVX-512 VNNI int8 -> int32 micro-kernel (`vpdpbusd` on 256-bit
- * vectors, requiring AVX512VL + AVX512VNNI). This TU carries its own
- * ISA flags (see CMakeLists.txt) and is selected at runtime only when
- * the CPU reports both features.
+ * vectors). This TU carries its own ISA flags (AVX2 and AVX512F/VL/
+ * BW/VNNI, see CMakeLists.txt) and is selected at runtime only when
+ * the CPU reports every one of them.
  *
  * `vpdpbusd` multiplies groups of four UNSIGNED bytes with four
  * signed bytes and accumulates the exact 4-product sum into int32 —
@@ -28,7 +28,8 @@
 
 #include "gemm/kernels.hh"
 
-#if defined(__AVX512VNNI__) && defined(__AVX512VL__)
+#if defined(__AVX512F__) && defined(__AVX512VL__) && \
+    defined(__AVX512BW__) && defined(__AVX512VNNI__)
 
 #include <immintrin.h>
 
@@ -176,8 +177,11 @@ vnniGemmS8Impl(const std::int8_t *a, const std::int8_t *b,
 GemmS8Fn
 vnniGemmS8()
 {
-    if (__builtin_cpu_supports("avx512vnni") &&
-        __builtin_cpu_supports("avx512vl"))
+    if (__builtin_cpu_supports("avx2") &&
+        __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vnni"))
         return &vnniGemmS8Impl;
     return nullptr;
 }
@@ -185,7 +189,7 @@ vnniGemmS8()
 } // namespace gemm
 } // namespace twq
 
-#else // !(__AVX512VNNI__ && __AVX512VL__)
+#else // !(__AVX512F__ && __AVX512VL__ && __AVX512BW__ && __AVX512VNNI__)
 
 namespace twq
 {

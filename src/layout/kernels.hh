@@ -66,10 +66,12 @@ namespace layout
 
 /**
  * Tiles per accumulator block of the scalar, AVX2 and NEON tap-GEMM
- * kernels, and the column granularity winogradTapGemmBlocked shards
- * by. The AVX-512 kernel's register tile is 8 tiles (2 output blocks
- * x 8 tiles in 16 zmm); it takes any column range, with a narrower
- * tile for the tail.
+ * kernels and of the VNNI int16 one, and the column granularity
+ * winogradTapGemmBlocked shards by. The zmm kernels' register tile is
+ * 8 tiles: the AVX-512 fp64 GEMM keeps 2 output blocks x 8 tiles in
+ * 16 zmm, the VNNI u8 GEMM 2 output blocks x 8 tiles in 8 zmm (one
+ * block pair per register). Both take any column range, with a
+ * narrower tile for the tail.
  */
 inline constexpr std::size_t kTapPr = 4;
 
@@ -313,16 +315,17 @@ LayoutKernels neonLayoutKernels();
 /// CPU lacks AVX512F.
 LayoutKernels avx512LayoutKernels();
 
-/// AVX-512 VNNI kernels (kernels_vnni.cc): the vpdpbusd u8 x s8 tap
-/// GEMM and a vpdpwssd int16 tap GEMM; nulls when not compiled in or
-/// the CPU lacks AVX512VL+VNNI.
+/// AVX-512 VNNI kernels (kernels_vnni.cc): the zmm vpdpbusd u8 x s8
+/// tap GEMM and a vpdpwssd int16 tap GEMM; nulls when not compiled in
+/// or the CPU lacks any of AVX2, AVX512F/VL/BW/VNNI (the TU's ISA
+/// flags).
 LayoutKernels vnniLayoutKernels();
 
 /**
  * The resolved process-wide kernel set (wino_blocked.cc): the overlay
  * chain scalar <- AVX2 | NEON <- AVX-512 <- VNNI, each layer filling
  * only its non-null entries. The name joins the contributing layers
- * with '+' (e.g. "avx2+avx512+vnni"; "scalar" when none did).
+ * with '+' (e.g. "avx2+avx512+vnni512"; "scalar" when none did).
  */
 const LayoutKernels &kernels();
 

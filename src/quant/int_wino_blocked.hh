@@ -22,10 +22,14 @@
  *             `winogradBits` — which always fits int16, so the GEMM
  *             operand narrows to U16 [t*t, Cinb, S, 8] (or biased u8
  *             for the VNNI kernel)
- *   GEMM      per-tap widening int16 x int16 -> int32 products on
- *             pair-interleaved blocked weights with the c-block as
- *             the SIMD lane dimension (layout::TapGemmI16Fn kernels:
- *             AVX2 vpmaddwd / NEON smlal / scalar) into M
+ *   GEMM      per-tap widening products into M with the c-block as
+ *             the SIMD lane dimension. 8-bit operands on a VNNI host
+ *             take the u8 x s8 kernel (layout::TapGemmU8Fn: biased-u8
+ *             taps, quad-interleaved weights, zmm vpdpbusd over a
+ *             register tile of 2 output blocks x 8 tiles); otherwise
+ *             int16 x int16 -> int32 on pair-interleaved weights
+ *             (layout::TapGemmI16Fn: VNNI vpdpwssd / AVX2 vpmaddwd /
+ *             NEON smlal / scalar)
  *   rescale   per GEMM slice, exactly like the NCHW path: the FP
  *             gather multiplies each tap slice by S_BG (a per-lane
  *             scale vector, with sx folded in) into Md; the fully

@@ -20,6 +20,7 @@
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/rng.hh"
 #include "layout/kernels.hh"
@@ -308,35 +309,56 @@ TEST(BlockedIntKernels, RescaleI16MatchesScalarReference)
 
 TEST(BlockedIntKernels, TapGemmU8MatchesScalarReference)
 {
-    if (!layout::kernels().tapGemmU8)
+    const layout::TapGemmU8Fn gemm = layout::kernels().tapGemmU8;
+    if (!gemm)
         GTEST_SKIP() << "no u8 tap kernel on this host (needs VNNI)";
+    // No sum reaches INT32_MIN (|sum| < 72 * 255 * 128 + 1e5), so a
+    // sentinel left in place shows an untouched column.
+    const std::int32_t sentinel = std::numeric_limits<std::int32_t>::min();
+    constexpr std::size_t p0 = 3;
     Rng rng(74);
-    const std::size_t coutb = 2, cinb = 3, P = 29;
-    const std::size_t cinp = cinb * kLayoutBlock;
-    std::vector<std::int8_t> w(coutb * cinp * kLayoutBlock);
-    std::vector<std::uint8_t> u(cinb * P * kLayoutBlock);
-    std::vector<std::int32_t> comp(coutb * kLayoutBlock);
-    for (auto &v : w)
-        v = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
-    for (auto &v : u)
-        v = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
-    for (auto &v : comp)
-        v = static_cast<std::int32_t>(rng.uniformInt(-100000, 100000));
-    std::vector<std::int32_t> ref(coutb * P * kLayoutBlock, -1);
-    std::vector<std::int32_t> got(coutb * P * kLayoutBlock, -2);
-    layout::scalarTapGemmU8(w.data(), u.data(), comp.data(),
-                            ref.data(), coutb, cinb, P, 0, P);
-    layout::kernels().tapGemmU8(w.data(), u.data(), comp.data(),
-                                got.data(), coutb, cinb, P, 0, P);
-    EXPECT_EQ(got, ref);
-    // Uneven column blocks (the P-shard seam).
-    std::fill(got.begin(), got.end(), -3);
-    layout::kernels().tapGemmU8(w.data(), u.data(), comp.data(),
-                                got.data(), coutb, cinb, P, 0, 7);
-    layout::kernels().tapGemmU8(w.data(), u.data(), comp.data(),
-                                got.data(), coutb, cinb, P, 7,
-                                P - 7);
-    EXPECT_EQ(got, ref);
+    // Odd coutb runs the lone last block, pn % 8 the narrower tiles.
+    for (const std::size_t coutb : {1, 2, 3, 8}) {
+        for (const std::size_t cinb : {1, 2, 9}) {
+            for (const std::size_t pn : {1, 7, 8, 9, 17}) {
+                const std::size_t P = p0 + pn + 5;
+                std::vector<std::int8_t> w(coutb * cinb * kLayoutBlock *
+                                           kLayoutBlock);
+                std::vector<std::uint8_t> u(cinb * P * kLayoutBlock);
+                std::vector<std::int32_t> comp(coutb * kLayoutBlock);
+                for (auto &v : w)
+                    v = static_cast<std::int8_t>(
+                        rng.uniformInt(-128, 127));
+                for (auto &v : u)
+                    v = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+                for (auto &v : comp)
+                    v = static_cast<std::int32_t>(
+                        rng.uniformInt(-100000, 100000));
+                std::vector<std::int32_t> got(coutb * P * kLayoutBlock,
+                                              sentinel);
+                std::vector<std::int32_t> want = got;
+                gemm(w.data(), u.data(), comp.data(), got.data(), coutb,
+                     cinb, P, p0, pn);
+                layout::scalarTapGemmU8(w.data(), u.data(), comp.data(),
+                                        want.data(), coutb, cinb, P, p0,
+                                        pn);
+                const std::string what = "coutb " +
+                                         std::to_string(coutb) +
+                                         " cinb " + std::to_string(cinb) +
+                                         " pn " + std::to_string(pn);
+                EXPECT_EQ(got, want) << what;
+                for (std::size_t co = 0; co < coutb; ++co)
+                    for (std::size_t p = 0; p < P; ++p) {
+                        const bool inside = p >= p0 && p < p0 + pn;
+                        const std::int32_t *col =
+                            got.data() + (co * P + p) * kLayoutBlock;
+                        for (std::size_t l = 0; l < kLayoutBlock; ++l)
+                            ASSERT_EQ(col[l] == sentinel, !inside)
+                                << what << ", column " << p;
+                    }
+            }
+        }
+    }
 }
 
 TEST(BlockedIntKernels, RescaleU8MatchesScalarReference)
