@@ -1,15 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the library's hot kernels:
- * Winograd transforms, reference convolutions, the integer tap-wise
- * pipeline, the DFG engine emulation, and the performance model
- * itself.
+ * Winograd transforms, reference convolutions, the served blocked
+ * integer tap-wise Winograd layer, the DFG engine emulation, and the
+ * performance model itself.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hh"
-#include "quant/int_winograd.hh"
+#include "quant/int_wino_blocked.hh"
 #include "sim/operators.hh"
 #include "tensor/im2col.hh"
 #include "winograd/conv.hh"
@@ -102,15 +102,28 @@ BM_ConvWinogradF4(benchmark::State &state)
 }
 BENCHMARK(BM_ConvWinogradF4)->Arg(4)->Arg(8);
 
+/// The served int8 Winograd layer: the blocked engine on an NCHWc8
+/// input, steady state (reused buffers, no allocations).
 void
 BM_IntWinogradForward(benchmark::State &state)
 {
     const TensorD x = randomTensor({1, 8, 16, 16}, 8);
     const TensorD w = randomTensor({8, 8, 3, 3}, 9);
     IntWinogradConfig cfg;
-    IntWinogradConv conv(w, {x}, cfg);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(conv.forward(x));
+    const BlockedIntWinograd blk(IntWinogradConv(w, {x}, cfg));
+    TensorD xb(blockedShape(x.shape()));
+    nchwToBlocked(x, xb);
+    TensorI32 xq, U32, M;
+    TensorI16 U16;
+    TensorI8 U8;
+    TensorD Md;
+    TensorD out({1, blk.coutb(), 16, 16, kLayoutBlock});
+    for (auto _ : state) {
+        blk.forwardInto(xb, xq, U32, U16, U8, M, Md, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 8 * 8 * 9 * 256);
 }
 BENCHMARK(BM_IntWinogradForward);
 

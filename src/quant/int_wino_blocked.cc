@@ -22,96 +22,83 @@ constexpr std::size_t kB = kLayoutBlock;
 } // namespace
 
 BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
-    : conv_(&conv), cout_(conv.cout()), cin_(conv.cin()),
+    : cfg_(conv.config()), sx_(conv.inputScale()),
+      sb_(conv.inputTapScale()), cout_(conv.cout()), cin_(conv.cin()),
       coutb_(layoutBlocks(conv.cout())),
       cinb_(layoutBlocks(conv.cin()))
 {
-    const IntWinogradConfig &cfg = conv.config();
-    const WinoSpec spec = winoSpec(cfg.variant);
+    const WinoSpec spec = winoSpec(cfg_.variant);
     const std::size_t tt = spec.t * spec.t;
     const std::size_t cinp = cinb_ * kB;
 
     // Wrap-free int32 accumulation in the widening tap GEMM:
     // |w|, |u| <= 2^(winogradBits - 1), summed over cinp lanes.
     const std::int64_t mag = std::int64_t{1}
-                             << (cfg.winogradBits - 1);
+                             << (cfg_.winogradBits - 1);
     twq_assert(static_cast<std::int64_t>(cinp) * mag * mag <
                    (std::int64_t{1} << 31),
                "blocked int winograd: channel count too large for "
                "exact int32 accumulation at this bit width");
     // The int32 kron of the B-transform is bounded by the plan's
     // coefficient mass (< 2^7 for F2/F4) times the spatial range.
-    twq_assert(cfg.spatialBits <= 16,
+    twq_assert(cfg_.spatialBits <= 16,
                "blocked int winograd: spatial bit width too large "
                "for the int32 transform buffers");
 
-    // Re-lay the quantized tap-major weights [t*t][Cout][Cin]
-    // pair-interleaved for the widening kernel:
-    // [t*t][coutb][cinp/2][8][2], zero-padded rows/columns.
+    // Re-lay the quantized tap-major weights [t*t][Cout][Cin] for the
+    // one tap kernel this layer runs: 8-bit operands on a vpdpbusd
+    // host take the quad-interleaved u8-kernel weights
+    // [t*t][coutb][cinp/4][8][4] and the per-(tap, lane) bias
+    // compensation 128 * sum_ic w; everything else the
+    // pair-interleaved int16 weights [t*t][coutb][cinp/2][8][2].
+    // Rows past Cout and columns past Cin stay zero.
     const std::vector<std::int64_t> &taps = conv.tapWeights();
-    wq16_.assign(tt * coutb_ * cinp * kB, 0);
-    for (std::size_t k = 0; k < tt; ++k) {
-        for (std::size_t oc = 0; oc < cout_; ++oc) {
-            for (std::size_t ic = 0; ic < cin_; ++ic) {
-                const std::int64_t v =
-                    taps[(k * cout_ + oc) * cin_ + ic];
-                wq16_[(((k * coutb_ + oc / kB) * (cinp / 2) +
-                        ic / 2) *
-                           kB +
-                       oc % kB) *
-                          2 +
-                      ic % 2] = static_cast<std::int16_t>(v);
-            }
-        }
-    }
-
-    // 8-bit operands on a vpdpbusd host additionally pack the
-    // quad-interleaved u8-kernel weights [t*t][coutb][cinp/4][8][4]
-    // and the per-(tap, lane) bias compensation 128 * sum_ic w.
-    use8_ = cfg.winogradBits <= 8 &&
+    use8_ = cfg_.winogradBits <= 8 &&
             layout::kernels().tapGemmU8 != nullptr;
     if (use8_) {
         wq8_.assign(tt * coutb_ * cinp * kB, 0);
         comp_.assign(tt * coutb_ * kB, 0);
-        for (std::size_t k = 0; k < tt; ++k) {
-            for (std::size_t oc = 0; oc < cout_; ++oc) {
-                std::int32_t sum = 0;
-                for (std::size_t ic = 0; ic < cin_; ++ic) {
-                    const std::int64_t v =
-                        taps[(k * cout_ + oc) * cin_ + ic];
-                    wq8_[(((k * coutb_ + oc / kB) * (cinp / 4) +
-                           ic / 4) *
-                              kB +
-                          oc % kB) *
+    } else {
+        wq16_.assign(tt * coutb_ * cinp * kB, 0);
+    }
+    for (std::size_t k = 0; k < tt; ++k) {
+        for (std::size_t oc = 0; oc < cout_; ++oc) {
+            std::int32_t sum = 0;
+            for (std::size_t ic = 0; ic < cin_; ++ic) {
+                const std::int64_t v =
+                    taps[(k * cout_ + oc) * cin_ + ic];
+                const std::size_t row = k * coutb_ + oc / kB;
+                if (use8_) {
+                    wq8_[((row * (cinp / 4) + ic / 4) * kB + oc % kB) *
                              4 +
                          ic % 4] = static_cast<std::int8_t>(v);
                     sum += static_cast<std::int32_t>(v);
+                } else {
+                    wq16_[((row * (cinp / 2) + ic / 2) * kB +
+                           oc % kB) *
+                              2 +
+                          ic % 2] = static_cast<std::int16_t>(v);
                 }
-                comp_[k * coutb_ * kB + oc] = 128 * sum;
             }
+            if (use8_)
+                comp_[k * coutb_ * kB + oc] = 128 * sum;
         }
     }
 
     // Per-(tap, lane) FP dequant scales with sx folded in; padded
     // lanes scale by zero, which pins them to exact 0.0 in the
     // output without a separate clearing pass.
-    {
-        const MatrixD &sb = conv.inputTapScale();
-        const ScaleSet &ws = conv.weightScales();
-        const double sx = conv.inputScale();
-        sbgSx_.assign(tt * coutb_ * kB, 0.0);
-        for (std::size_t k = 0; k < tt; ++k)
-            for (std::size_t oc = 0; oc < cout_; ++oc)
-                sbgSx_[k * coutb_ * kB + oc] =
-                    sb(k / spec.t, k % spec.t) *
-                    ws.at(oc, k / spec.t, k % spec.t) * sx;
-    }
+    const ScaleSet &ws = conv.weightScales();
+    sbgSx_.assign(tt * coutb_ * kB, 0.0);
+    for (std::size_t k = 0; k < tt; ++k)
+        for (std::size_t oc = 0; oc < cout_; ++oc)
+            sbgSx_[k * coutb_ * kB + oc] =
+                sb_(k / spec.t, k % spec.t) *
+                ws.at(oc, k / spec.t, k % spec.t) * sx_;
 
     // Per-channel common scale + relative shifts for the fully
     // integer path (defined for power-of-two scales only).
-    if (cfg.pow2Scales) {
-        const MatrixD &sb = conv.inputTapScale();
-        const ScaleSet &ws = conv.weightScales();
+    if (cfg_.pow2Scales) {
         comLog2_.resize(cout_);
         relShift_.assign(cout_, std::vector<int>(tt, 0));
         for (std::size_t oc = 0; oc < cout_; ++oc) {
@@ -120,7 +107,7 @@ BlockedIntWinograd::BlockedIntWinograd(const IntWinogradConv &conv)
             for (std::size_t i = 0; i < spec.t; ++i) {
                 for (std::size_t j = 0; j < spec.t; ++j) {
                     const double sbg =
-                        sb(i, j) * ws.at(oc, i, j);
+                        sb_(i, j) * ws.at(oc, i, j);
                     logs[i * spec.t + j] = log2Exact(sbg);
                     lo = std::min(lo, logs[i * spec.t + j]);
                 }
@@ -136,10 +123,8 @@ void
 BlockedIntWinograd::quantizeInput(const TensorD &input,
                                   TensorI32 &xq) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
     twq_assert(input.rank() == 5 && input.dim(1) == cinb_,
                "input channel blocks do not match prepared weights");
-    const double sx = conv_->inputScale();
     // Spatial-domain quantization of the blocked input in place of
     // layout (padded lanes hold 0.0 and quantize to 0). Power-of-two
     // scales take the vectorized exact-reciprocal kernel, which is
@@ -149,16 +134,16 @@ BlockedIntWinograd::quantizeInput(const TensorD &input,
     TWQ_STAGE_PERF("winoc8i.quantize");
     if (xq.shape() != input.shape())
         xq = TensorI32(input.shape());
-    if (cfg.pow2Scales) {
+    if (cfg_.pow2Scales) {
         layout::kernels().quantizeI32(
-            input.data(), 1.0 / sx,
-            static_cast<double>(quantMin(cfg.spatialBits)),
-            static_cast<double>(quantMax(cfg.spatialBits)), xq.data(),
+            input.data(), 1.0 / sx_,
+            static_cast<double>(quantMin(cfg_.spatialBits)),
+            static_cast<double>(quantMax(cfg_.spatialBits)), xq.data(),
             input.numel());
     } else {
         for (std::size_t i = 0; i < input.numel(); ++i)
             xq[i] = static_cast<std::int32_t>(
-                quantize(input[i], sx, cfg.spatialBits));
+                quantize(input[i], sx_, cfg_.spatialBits));
     }
 }
 
@@ -174,8 +159,7 @@ BlockedIntWinograd::scatterGemmChunk(const TensorI32 &xq,
                                      const TileChunk &c, bool useShifts,
                                      const ChunkBuffers &b) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
-    const std::size_t t = winoSpec(cfg.variant).t;
+    const std::size_t t = winoSpec(cfg_.variant).t;
     const std::size_t tt = t * t;
     const std::size_t cinp = cinb_ * kB;
     const std::size_t S = c.strideTiles;
@@ -183,7 +167,7 @@ BlockedIntWinograd::scatterGemmChunk(const TensorI32 &xq,
 
     // The exact integer B-transform, fused with the tile gather (each
     // tile read straight from xq).
-    winogradInputTransformChunk(xq, cfg.variant, cfg.pad, c, b.u32);
+    winogradInputTransformChunk(xq, cfg_.variant, cfg_.pad, c, b.u32);
 
     // The tap-wise S_B requantization narrowing into the GEMM
     // operand, one (tap, channel block) row of the chunk's tiles at a
@@ -191,26 +175,25 @@ BlockedIntWinograd::scatterGemmChunk(const TensorI32 &xq,
     // kernel (value + 128) when it is engaged, into int16 otherwise.
     // Round(x / s) rounds half away from zero, matching the shifts
     // exactly for power-of-two scales.
-    const MatrixD &sb = conv_->inputTapScale();
     const std::size_t len = c.tiles * kB;
     for (std::size_t k = 0; k < tt; ++k) {
-        const double s = sb(k / t, k % t);
+        const double s = sb_(k / t, k % t);
         const int shift = useShifts ? log2Exact(s) : 0;
         for (std::size_t cb = 0; cb < cinb_; ++cb) {
             const std::size_t at = (k * cinb_ + cb) * S * kB;
             const std::int32_t *src = b.u32 + at;
             if (use8_ && useShifts) {
                 lk.rescaleU8(src, b.u8 + at, len, shift,
-                             cfg.winogradBits);
+                             cfg_.winogradBits);
             } else if (useShifts) {
                 lk.rescaleI16(src, b.u16 + at, len, shift,
-                              cfg.winogradBits);
+                              cfg_.winogradBits);
             } else {
                 for (std::size_t l = 0; l < len; ++l) {
                     const std::int64_t q = clampSigned(
                         static_cast<std::int64_t>(std::round(
                             static_cast<double>(src[l]) / s)),
-                        cfg.winogradBits);
+                        cfg_.winogradBits);
                     if (use8_)
                         b.u8[at + l] = static_cast<std::uint8_t>(q + 128);
                     else
@@ -252,7 +235,7 @@ BlockedIntWinograd::chunkBuffers(const TileChunks &c, std::size_t lanes,
                                  TensorI32 &U32, TensorI16 &U16,
                                  TensorI8 &U8, TensorI32 &M) const
 {
-    const std::size_t t = winoSpec(conv_->config().variant).t;
+    const std::size_t t = winoSpec(cfg_.variant).t;
     ChunkBuffers b;
     b.uElems = c.laneElems(t * t, cinb_);
     b.mElems = c.laneElems(t * t, coutb_);
@@ -274,9 +257,8 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
                                 gemm::ParallelRunner *runner,
                                 const double *bias8, bool relu) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
     const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
+        winoDimsBlocked(input.shape(), cfg_.variant, cfg_.pad);
     twq_assert(out.rank() == 5 && out.dim(0) == d.n &&
                    out.dim(1) == coutb_ && out.dim(2) == d.ho &&
                    out.dim(3) == d.wo && out.dim(4) == kB,
@@ -296,7 +278,7 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
         // and markedly cheaper, so the FP path takes them whenever
         // the config allows.
         const ChunkBuffers b = all.lane(lane);
-        scatterGemmChunk(xq, ch, /*useShifts=*/cfg.pow2Scales, b);
+        scatterGemmChunk(xq, ch, /*useShifts=*/cfg_.pow2Scales, b);
         // Dequant: the tap-wise S_BG rescale (sx folded in) as one
         // per-lane scale vector over each (tap, coutb) slice, then
         // the fused FP output transform (A^T m A + untile + epilogue
@@ -311,7 +293,7 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
                     b.m + at, sbgSx_.data() + (k * coutb_ + co) * kB,
                     mdl + at, ch.tiles);
             }
-        winogradOutputTransformChunk(mdl, cfg.variant, ch, out, bias8,
+        winogradOutputTransformChunk(mdl, cfg_.variant, ch, out, bias8,
                                      relu);
     });
 }
@@ -319,9 +301,8 @@ BlockedIntWinograd::forwardInto(const TensorD &input, TensorI32 &xq,
 TensorD
 BlockedIntWinograd::forward(const TensorD &input) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
     const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
+        winoDimsBlocked(input.shape(), cfg_.variant, cfg_.pad);
     TensorI32 xq, U32, M;
     TensorI16 U16;
     TensorI8 U8;
@@ -336,14 +317,12 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
                                 double *out_scale,
                                 bool fuse_relu) const
 {
-    const IntWinogradConfig &cfg = conv_->config();
-    twq_assert(cfg.pow2Scales,
+    twq_assert(cfg_.pow2Scales,
                "forwardInt8 requires power-of-two scales");
     const WinoDims d =
-        winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
+        winoDimsBlocked(input.shape(), cfg_.variant, cfg_.pad);
     const std::size_t tt = d.t * d.t;
     const std::size_t hw = d.ho * d.wo;
-    const double sx = conv_->inputScale();
 
     // Pass 1: the integer stages chunk by chunk, exactly as the served
     // path runs them, with each chunk's M widened into its tiles of
@@ -382,10 +361,10 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
     // Integer A-transform as Kronecker row passes (exact), untiled
     // into the blocked spatial int64 output.
     TensorI64 Y64({d.m * d.m, coutb_, d.tiles, kB});
-    applyKron(winoOutputKron<std::int64_t>(cfg.variant), M64.data(),
+    applyKron(winoOutputKron<std::int64_t>(cfg_.variant), M64.data(),
               coutb_ * d.tiles * kB, Y64.data());
     TensorI64 raw({d.n, coutb_, d.ho, d.wo, kB});
-    winogradUntileBlocked(Y64, cfg.variant, raw);
+    winogradUntileBlocked(Y64, cfg_.variant, raw);
 
     // Pass 2: pick a power-of-two output scale covering the observed
     // range over the logical lanes and requantize with shifts —
@@ -400,7 +379,7 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
             for (std::size_t i = 0; i < hw; ++i) {
                 const double real =
                     static_cast<double>(src[i * kB]) *
-                    std::exp2(comLog2_[oc]) * sx;
+                    std::exp2(comLog2_[oc]) * sx_;
                 abs_max = std::max(abs_max, std::abs(real));
             }
         }
@@ -409,7 +388,7 @@ BlockedIntWinograd::forwardInt8(const TensorD &input,
     if (out_scale)
         *out_scale = sy;
     const int sy_log2 = log2Exact(sy);
-    const int sx_log2 = log2Exact(sx);
+    const int sx_log2 = log2Exact(sx_);
 
     TensorI8 out({d.n, coutb_, d.ho, d.wo, kB}); // padded lanes stay 0
     for (std::size_t in = 0; in < d.n; ++in) {

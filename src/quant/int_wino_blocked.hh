@@ -5,11 +5,11 @@
  * c-block is the SIMD lane dimension end to end, closing the last
  * major path that still ran strided NCHW.
  *
- * The pipeline stages mirror IntWinogradConv::scatterGemm exactly,
- * on blocked buffers. The input is quantized once per layer; every
- * later stage runs one chunk of tile rows at a time on the chunk
- * walker of layout/wino_blocked.hh (tileChunks, forEachTileChunk),
- * in [lanes x chunk] buffers of Pc <= S tiles:
+ * The stages are those of IntWinogradConv's integer pipeline, run on
+ * blocked buffers. The input is quantized once per layer; every later
+ * stage runs one chunk of tile rows at a time on the chunk walker of
+ * layout/wino_blocked.hh (tileChunks, forEachTileChunk), in
+ * [lanes x chunk] buffers of Pc <= S tiles:
  *
  *   quantize  blocked f64 input -> int32 xq, elementwise, whole layer
  *             (padded lanes quantize 0 -> 0, so they stay invisible)
@@ -30,28 +30,28 @@
  *             int16 x int16 -> int32 on pair-interleaved weights
  *             (layout::TapGemmI16Fn: VNNI vpdpwssd / AVX2 vpmaddwd /
  *             NEON smlal / scalar)
- *   rescale   per GEMM slice, exactly like the NCHW path: the FP
- *             gather multiplies each tap slice by S_BG (a per-lane
- *             scale vector, with sx folded in) into Md; the fully
- *             integer path left-shifts each (tap, oc) slice to the
- *             channel's common power-of-two scale, widening the
- *             chunk into its tiles of a whole-layer int64 buffer
+ *   rescale   per GEMM slice: the FP gather multiplies each tap
+ *             slice by S_BG (a per-lane scale vector, with sx folded
+ *             in) into Md; the fully integer path left-shifts each
+ *             (tap, oc) slice to the channel's common power-of-two
+ *             scale, widening the chunk into its tiles of a
+ *             whole-layer int64 buffer
  *   output    FP path only: the fused output transform of the fp64
  *             engine (winogradOutputTransformChunk — A^T m A, the
  *             untile and the bias/ReLU epilogue in one pass over the
  *             chunk's Md)
  *
  * Every integer stage computes the same order-free sums as the NCHW
- * pipeline, so forwardInt8 is bit-identical to forwardInt8Reference
- * (modulo the NCHWc8 layout of the returned tensors). The FP dequant
- * of forwardInto rounds differently from IntWinogradConv's staged
- * gather (Kronecker row passes, then untile); the tested contract is
- * agreement with IntWinogradConv::forward within a relative 1e-9 per
- * element. The result is deterministic and independent of batch size
- * and sharding. Overflow is excluded by construction:
- * operands are bounded by 2^(winogradBits-1) <= 2^9, so int32
- * accumulation over cinb*8 channels is wrap-free for any channel
- * count the constructor accepts (asserted).
+ * oracle, so forwardInt8 is bit-identical to
+ * IntWinogradConv::forwardInt8 (modulo the NCHWc8 layout of the
+ * returned tensors). The FP dequant of forwardInto rounds differently
+ * from the oracle's per-tile Kronecker row passes; the tested
+ * contract is agreement with IntWinogradConv::forward within a
+ * relative 1e-9 per element. The result is deterministic and
+ * independent of batch size and sharding. Overflow is excluded by
+ * construction: operands are bounded by 2^(winogradBits-1) <= 2^9,
+ * so int32 accumulation over cinb*8 channels is wrap-free for any
+ * channel count the constructor accepts (asserted).
  */
 
 #ifndef TWQ_QUANT_INT_WINO_BLOCKED_HH
@@ -67,9 +67,10 @@ namespace twq
 
 /**
  * The blocked execution state derived from a prepared IntWinogradConv:
- * shares its scales and quantized weights (re-laid pair-interleaved
- * for the widening tap kernel) and runs the blocked pipeline against
- * the same oracles. The source conv must outlive this object.
+ * copies its configuration and input scales, and packs its quantized
+ * weights for the one tap kernel this host runs. It keeps no
+ * reference to the source, which may be destroyed once this object
+ * is built.
  */
 class BlockedIntWinograd
 {
@@ -107,7 +108,7 @@ class BlockedIntWinograd
      * output transform and requantization run with integer adds and
      * shifts only. Returns the NCHWc8 int8 output (padded lanes
      * zero); logical lanes are bit-identical to
-     * IntWinogradConv::forwardInt8Reference.
+     * IntWinogradConv::forwardInt8.
      */
     TensorI8 forwardInt8(const TensorD &input, double *out_scale,
                          bool fuse_relu = false) const;
@@ -116,7 +117,7 @@ class BlockedIntWinograd
     std::size_t cin() const { return cin_; }
     std::size_t coutb() const { return coutb_; }
     std::size_t cinb() const { return cinb_; }
-    const IntWinogradConfig &config() const { return conv_->config(); }
+    const IntWinogradConfig &config() const { return cfg_; }
 
   private:
     /// One lane's chunk buffers for the integer stages.
@@ -152,21 +153,24 @@ class BlockedIntWinograd
     void scatterGemmChunk(const TensorI32 &xq, const TileChunk &c,
                           bool useShifts, const ChunkBuffers &b) const;
 
-    const IntWinogradConv *conv_;
+    IntWinogradConfig cfg_;
+    double sx_ = 1.0; ///< spatial activation scale s_x
+    MatrixD sb_;      ///< [t,t] integer-domain input divisors S_B
     std::size_t cout_ = 0;
     std::size_t cin_ = 0;
     std::size_t coutb_ = 0;
     std::size_t cinb_ = 0;
-    /// Quantized tap weights re-laid for the widening kernel:
-    /// [t*t][coutb][cinp/2][8][2] int16, pair-interleaved along the
-    /// input channels; rows past Cout and columns past Cin are zero.
-    std::vector<std::int16_t> wq16_;
     /// Take the u8 x s8 tap kernel: 8-bit Winograd domain on a host
     /// providing layout::LayoutKernels::tapGemmU8 (VNNI).
     bool use8_ = false;
-    /// Quad-interleaved signed weights [t*t][coutb][cinp/4][8][4]
-    /// and the per-(tap, output-lane) bias compensation
-    /// 128 * sum_ic w ([t*t][coutb*8]) for the u8 kernel.
+    /// Quantized tap weights for the int16 kernel (empty when use8_):
+    /// [t*t][coutb][cinp/2][8][2], pair-interleaved along the input
+    /// channels; rows past Cout and columns past Cin are zero.
+    std::vector<std::int16_t> wq16_;
+    /// For the u8 kernel (empty unless use8_): quad-interleaved
+    /// signed weights [t*t][coutb][cinp/4][8][4] and the
+    /// per-(tap, output-lane) bias compensation 128 * sum_ic w
+    /// ([t*t][coutb*8]).
     std::vector<std::int8_t> wq8_;
     std::vector<std::int32_t> comp_;
     /// Per-(tap, lane) dequant scales S_BG * sx for the FP gather:

@@ -13,19 +13,19 @@
  * quantization that breaks F4 accuracy; tap-wise granularity is the
  * paper's contribution.
  *
- * Execution uses the flat tap-major scatter–GEMM–gather layout
- * (winograd/tiled.hh): quantized input tiles are scattered into one
- * [t*t, Cin, P] int64 buffer, the channel reduction runs as t*t
- * independent [Cout, Cin] x [Cin, P] integer GEMMs, and the tap-wise
- * S_BG rescale is applied per GEMM slice in the gather. Integer
- * summation is order-independent, so the tiled path is bit-identical
- * to the tile-at-a-time reference (forwardReference /
- * forwardInt8Reference), which is kept as the oracle.
+ * This class is the prepare step and the oracle of that pipeline: it
+ * calibrates the scales and quantizes the weights once, and its
+ * forward paths run the paper's formulation one [t, t] tile at a time
+ * on NCHW tensors. The served form is the NCHWc8 blocked engine
+ * (quant/int_wino_blocked.hh), which copies what it needs from a
+ * prepared IntWinogradConv and is tested against these forward paths.
  */
 
 #ifndef TWQ_QUANT_INT_WINOGRAD_HH
 #define TWQ_QUANT_INT_WINOGRAD_HH
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "quant/scales.hh"
@@ -75,38 +75,16 @@ class IntWinogradConv
                     CalibrationCache *calCache = nullptr);
 
     /**
-     * Run quantized inference through the tiled scatter–GEMM–gather
-     * pipeline; returns the dequantized FP output. Bit-identical to
-     * forwardReference().
+     * Run quantized inference tile at a time; returns the
+     * dequantized FP output [N, Cout, Ho, Wo].
      */
     TensorD forward(const TensorD &input) const;
-
-    /**
-     * Tiled forward writing into caller-provided buffers: `xq` holds
-     * the quantized input, `V` the raw tiles, `U`/`M` the
-     * scatter/GEMM planes, `Md`/`Y` the FP dequant and back-transform
-     * planes (reshaped as needed), `out` the pre-shaped
-     * [N, Cout, Ho, Wo] result. With reused buffers the repeated
-     * calls perform no allocations. Bit-identical to
-     * forwardReference().
-     */
-    void forwardInto(const TensorD &input, TensorI64 &xq, TensorI64 &V,
-                     TensorI64 &U, TensorI64 &M, TensorD &Md,
-                     TensorD &Y, TensorD &out) const;
-
-    /**
-     * Tile-at-a-time reference implementation (the original
-     * formulation, one [t, t] Matrix per step). Kept as the oracle
-     * the tiled path is verified against.
-     */
-    TensorD forwardReference(const TensorD &input) const;
 
     /**
      * Fully integer inference path (requires pow2Scales): the S_BG
      * rescale, the output transform, and the final requantization to
      * int8 are carried out with integer adds and shifts only, the
-     * way the FixPipe/Vector Unit does it on the accelerator. Runs
-     * tiled; bit-identical to forwardInt8Reference().
+     * way the FixPipe/Vector Unit does it on the accelerator.
      *
      * @param input     FP input (quantized internally with s_x).
      * @param out_scale output: the power-of-two scale of the
@@ -116,11 +94,6 @@ class IntWinogradConv
      */
     TensorI8 forwardInt8(const TensorD &input, double *out_scale,
                          bool fuse_relu = false) const;
-
-    /** Tile-at-a-time reference of forwardInt8 (the oracle). */
-    TensorI8 forwardInt8Reference(const TensorD &input,
-                                  double *out_scale,
-                                  bool fuse_relu = false) const;
 
     std::size_t cout() const { return cout_; }
     std::size_t cin() const { return cin_; }
@@ -150,14 +123,18 @@ class IntWinogradConv
     const IntWinogradConfig &config() const { return cfg_; }
 
   private:
-    /// Tiled integer pipeline shared by forward and forwardInt8:
-    /// quantize + scatter (spatial->Winograd with the S_B rescale) and
-    /// the per-tap GEMM. `useShifts` selects the shift-based rescale
-    /// (forwardInt8) over round(x/s) (forward); both are identical
-    /// for power-of-two scales.
-    void scatterGemm(const TensorD &input, bool useShifts,
-                     TensorI64 &xq, TensorI64 &V, TensorI64 &U,
-                     TensorI64 &M) const;
+    /// Receives one output tile's integer accumulator: (n, tile row,
+    /// tile column, oc, the [t*t] channel sums in tap order).
+    using TileFn =
+        std::function<void(std::size_t, std::size_t, std::size_t,
+                           std::size_t, const std::int64_t *)>;
+
+    /// The integer stages shared by forward and forwardInt8, one tile
+    /// at a time: quantize, B^T x̂ B, the S_B rescale (by shifts, or
+    /// by round(x/s) — identical for power-of-two scales) and the
+    /// channel reduction, handing each (tile, oc) sum to `emit`.
+    void forEachTile(const TensorD &input, bool useShifts,
+                     const TileFn &emit) const;
 
     IntWinogradConfig cfg_;
     std::size_t cout_;
@@ -165,15 +142,12 @@ class IntWinogradConv
     double sx_ = 1.0;          ///< spatial activation scale
     MatrixD sb_;               ///< [t,t] integer-domain input divisors
     ScaleSet wscales_;         ///< Winograd-domain weight scales
-    /// Quantized Winograd-domain weights, one [t,t] tile per
-    /// (oc, ic), values in `winogradBits` range (reference layout).
-    std::vector<MatrixI64> wq_;
-    /// The same weights re-laid tap-major [t*t][cout][cin] for the
-    /// per-tap GEMM.
+    /// Quantized Winograd-domain weights, values in `winogradBits`
+    /// range, tap-major [t*t][cout][cin].
     std::vector<std::int64_t> wqTaps_;
     /// Fused FP dequant scales S_B ⊙ S_G ⊙ s_x per (tap, oc),
     /// [t*t * cout], computed in the same association order as the
-    /// blocked engine's sbgSx_ table. The gather is specified in
+    /// blocked engine's sbgSx_ table. The dequant is specified in
     /// row-pass (Kronecker) order over this fused scale; the blocked
     /// engine follows the same specification and is tested against
     /// forward() within a relative 1e-9.

@@ -341,11 +341,8 @@ class WinogradBlockedBackend : public ConvBackend
 
 struct WinogradBlockedInt8Prepared : PreparedLayer
 {
-    /// Owns the quantized weights and scales (the NCHW prepared
-    /// state the blocked execution derives from).
-    std::unique_ptr<IntWinogradConv> conv;
-    /// Blocked pair-interleaved weights + blocked execution; borrows
-    /// `conv`, so declaration order matters.
+    /// The layer's scales, packed tap weights and blocked execution;
+    /// holds no reference to the IntWinogradConv it was built from.
     std::unique_ptr<BlockedIntWinograd> blocked;
     ScratchArena::Slot quantized = 0; ///< int32 blocked-input slot
     // Chunk-buffer slots:
@@ -365,7 +362,7 @@ struct WinogradBlockedInt8Prepared : PreparedLayer
  * c-block kernel, the tap-wise S_BG rescale is applied per GEMM
  * slice, and the fused output transform dequantizes. Outputs agree
  * with the IntWinogradConv oracle within a relative 1e-9 (and are
- * bit-identical to forwardInt8Reference on the fully integer path).
+ * bit-identical to its forwardInt8 on the fully integer path).
  */
 class WinogradBlockedInt8Backend : public ConvBackend
 {
@@ -409,10 +406,11 @@ class WinogradBlockedInt8Backend : public ConvBackend
         cfg.variant = build.variant;
         cfg.pad = build.params.pad;
         auto prep = std::make_shared<WinogradBlockedInt8Prepared>();
-        prep->conv = std::make_unique<IntWinogradConv>(
-            weights, *build.calibration, cfg, build.calCache);
-        prep->blocked =
-            std::make_unique<BlockedIntWinograd>(*prep->conv);
+        // Calibrates and quantizes; the blocked engine copies what it
+        // runs, so the NCHW weights are dropped once it is built.
+        const IntWinogradConv conv(weights, *build.calibration, cfg,
+                                   build.calCache);
+        prep->blocked = std::make_unique<BlockedIntWinograd>(conv);
         prep->quantized = ScratchArena::resolve("winoc8i.xq");
         prep->scatter = ScratchArena::resolve("winoc8i.U32");
         prep->narrowed = ScratchArena::resolve("winoc8i.U16");
@@ -434,7 +432,7 @@ class WinogradBlockedInt8Backend : public ConvBackend
         twq_assert(input.size() == 5 && input[4] == kLayoutBlock,
                    "winograd-blocked-int8 backend expects NCHWc8 "
                    "input");
-        const ConvParams cp{3, 1, p.conv->config().pad};
+        const ConvParams cp{3, 1, p.blocked->config().pad};
         return {input[0], p.blocked->coutb(), cp.outSize(input[2]),
                 cp.outSize(input[3]), kLayoutBlock};
     }
@@ -446,9 +444,9 @@ class WinogradBlockedInt8Backend : public ConvBackend
     {
         const auto &p =
             static_cast<const WinogradBlockedInt8Prepared &>(prep);
+        const IntWinogradConfig &cfg = p.blocked->config();
         const WinoDims d =
-            winoDimsBlocked(input.shape(), p.conv->config().variant,
-                            p.conv->config().pad);
+            winoDimsBlocked(input.shape(), cfg.variant, cfg.pad);
         p.blocked->forwardInto(
             input, scratch.tensorI32(p.quantized, input.shape()),
             scratch.buffer<std::int32_t>(p.scatter),
@@ -602,10 +600,8 @@ struct Im2colInt8Prepared : PreparedLayer
     ScratchArena::Slot quantized = 0; ///< int8 input slot
     ScratchArena::Slot cols = 0;      ///< int8 column-buffer slot
     ScratchArena::Slot acc = 0;       ///< int32 accumulator slot
-    ScratchArena::Slot requant = 0;   ///< u8 requantized-output slot
     std::vector<double> bias;         ///< fused epilogue; empty = none
     bool relu = false;
-    double requantScale = 0.0; ///< >0: also emit u8 at the same write
 };
 
 /**
@@ -642,10 +638,8 @@ class Im2colInt8Backend : public ConvBackend
         prep->quantized = layerSlot("im8.xq", desc.name);
         prep->cols = layerSlot("im8.cols", desc.name);
         prep->acc = layerSlot("im8.acc", desc.name);
-        prep->requant = layerSlot("im8.requant", desc.name);
         prep->bias = epilogueBias(build.epilogue, desc);
         prep->relu = build.epilogue.relu;
-        prep->requantScale = build.epilogue.requantScale;
 
         // Activation scale from the layer's calibration activations;
         // shared with the layer's other quantized candidates when the
@@ -774,27 +768,17 @@ class Im2colInt8Backend : public ConvBackend
             }
 
             // Dequantize into the FP output plane — y = acc * sx * sw
-            // — with the fused epilogue folded into the same write:
-            // bias add, ReLU, and (requantScale > 0) the requantized
-            // u8 image, all without a second pass over the plane.
+            // — with the fused epilogue (bias add, ReLU) folded into
+            // the same write.
             TWQ_SPAN("im8.dequant");
             TWQ_STAGE_PERF("im8.dequant");
             double *dst = out.data() + in * cout * spatial;
-            std::uint8_t *u8dst = nullptr;
-            if (p.requantScale > 0.0) {
-                TensorI8 &rq = scratch.tensorI8(
-                    p.requant, {n, cout, ho, wo});
-                u8dst = reinterpret_cast<std::uint8_t *>(rq.data()) +
-                        in * cout * spatial;
-            }
             for (std::size_t oc = 0; oc < cout; ++oc) {
                 const double s = p.sx * p.sw[oc];
                 const double bc = p.bias.empty() ? 0.0 : p.bias[oc];
                 const bool hasBias = !p.bias.empty();
                 const std::int32_t *src = acc.data() + oc * spatial;
                 double *row = dst + oc * spatial;
-                std::uint8_t *u8row =
-                    u8dst ? u8dst + oc * spatial : nullptr;
                 for (std::size_t i = 0; i < spatial; ++i) {
                     double v = static_cast<double>(src[i]) * s;
                     if (hasBias)
@@ -802,11 +786,6 @@ class Im2colInt8Backend : public ConvBackend
                     if (p.relu && v < 0.0)
                         v = 0.0;
                     row[i] = v;
-                    if (u8row) {
-                        double q = std::nearbyint(v / p.requantScale);
-                        q = std::min(255.0, std::max(0.0, q));
-                        u8row[i] = static_cast<std::uint8_t>(q);
-                    }
                 }
             }
         }

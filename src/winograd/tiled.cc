@@ -666,7 +666,6 @@ template const WinoKronPlan<double> &winoOutputSep(WinoVariant);
 template const WinoKronPlan<float> &winoInputKron(WinoVariant);
 template const WinoKronPlan<double> &winoInputKron(WinoVariant);
 template const WinoKronPlan<std::int32_t> &winoInputKron(WinoVariant);
-template const WinoKronPlan<std::int64_t> &winoInputKron(WinoVariant);
 template const WinoKronPlan<float> &winoOutputKron(WinoVariant);
 template const WinoKronPlan<double> &winoOutputKron(WinoVariant);
 template const WinoKronPlan<std::int64_t> &winoOutputKron(WinoVariant);
@@ -686,9 +685,6 @@ template void winogradGatherTiles(const Tensor<float> &, WinoVariant,
                                   std::size_t, Tensor<float> &);
 template void winogradGatherTiles(const Tensor<double> &, WinoVariant,
                                   std::size_t, Tensor<double> &);
-template void winogradGatherTiles(const Tensor<std::int64_t> &,
-                                  WinoVariant, std::size_t,
-                                  Tensor<std::int64_t> &);
 template void winogradScatterAddTiles(const Tensor<double> &,
                                       WinoVariant, std::size_t,
                                       Tensor<double> &);
@@ -708,9 +704,6 @@ template void winogradUntile(const Tensor<float> &, WinoVariant,
                              Tensor<float> &, const float *, bool);
 template void winogradUntile(const Tensor<double> &, WinoVariant,
                              Tensor<double> &, const double *, bool);
-template void winogradUntile(const Tensor<std::int64_t> &, WinoVariant,
-                             Tensor<std::int64_t> &,
-                             const std::int64_t *, bool);
 template void winogradGather(const Tensor<float> &, WinoVariant,
                              Tensor<float> &, Tensor<float> &,
                              const float *, bool);

@@ -20,8 +20,7 @@
  * channels) is identical to conv2dWinogradPre, so results match the
  * tile-at-a-time reference bit for bit on hardware without FMA
  * contraction, and within rounding everywhere else. The same three
- * stages run the integer path (quant/int_winograd) and the
- * winograd-aware training layer (nn/wino_conv).
+ * stages run the winograd-aware training layer (nn/wino_conv).
  */
 
 #ifndef TWQ_WINOGRAD_TILED_HH
@@ -251,8 +250,8 @@ Tensor<T> conv2dWinogradTiled(const Tensor<T> &input,
                               const WinogradTapWeights<T> &w,
                               std::size_t pad = 1);
 
-// Raw-pointer helpers shared with the integer pipeline
-// (quant/int_winograd) and the training layer (nn/wino_conv). The
+// Raw-pointer helpers shared with the training layer
+// (nn/wino_conv). The
 // t x t products run gemm::referenceGemm — operands this small never
 // amortize the blocked core's packing.
 
@@ -366,8 +365,6 @@ extern template const WinoKronPlan<float> &winoInputKron(WinoVariant);
 extern template const WinoKronPlan<double> &winoInputKron(WinoVariant);
 extern template const WinoKronPlan<std::int32_t> &
 winoInputKron(WinoVariant);
-extern template const WinoKronPlan<std::int64_t> &
-winoInputKron(WinoVariant);
 extern template const WinoKronPlan<float> &winoOutputKron(WinoVariant);
 extern template const WinoKronPlan<double> &winoOutputKron(WinoVariant);
 extern template const WinoKronPlan<std::int64_t> &
@@ -390,9 +387,6 @@ extern template void winogradGatherTiles(const Tensor<float> &,
 extern template void winogradGatherTiles(const Tensor<double> &,
                                          WinoVariant, std::size_t,
                                          Tensor<double> &);
-extern template void winogradGatherTiles(const Tensor<std::int64_t> &,
-                                         WinoVariant, std::size_t,
-                                         Tensor<std::int64_t> &);
 extern template void winogradScatterAddTiles(const Tensor<double> &,
                                              WinoVariant, std::size_t,
                                              Tensor<double> &);
@@ -418,9 +412,6 @@ extern template void winogradUntile(const Tensor<float> &, WinoVariant,
 extern template void winogradUntile(const Tensor<double> &, WinoVariant,
                                     Tensor<double> &, const double *,
                                     bool);
-extern template void winogradUntile(const Tensor<std::int64_t> &,
-                                    WinoVariant, Tensor<std::int64_t> &,
-                                    const std::int64_t *, bool);
 extern template void winogradGather(const Tensor<float> &, WinoVariant,
                                     Tensor<float> &, Tensor<float> &,
                                     const float *, bool);

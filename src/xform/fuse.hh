@@ -34,22 +34,17 @@ namespace twq
  * Post-conv epilogue folded into a conv engine's output write.
  *
  * `bias` is the per-output-channel addend ([Cout], empty = no bias);
- * `relu` clamps negatives to zero after the bias. For quantized
- * consumers, a positive `requantScale` additionally requantizes the
- * (biased, clamped) result to unsigned 8-bit —
- * clamp(round(y / requantScale), 0, 255) — producing the biased-u8
- * operand the VNNI tap kernels consume, without a separate pass.
+ * `relu` clamps negatives to zero after the bias.
  */
 struct Epilogue
 {
     std::vector<double> bias; ///< per-Cout addend; empty = none
     bool relu = false;
-    double requantScale = 0.0; ///< > 0: requantize to u8 (int8 paths)
 
     bool
     active() const
     {
-        return !bias.empty() || relu || requantScale > 0.0;
+        return !bias.empty() || relu;
     }
 };
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Bit-identity of the NCHWc8 blocked integer Winograd pipeline
- * against the tile-at-a-time oracles, across variants, bit widths,
- * quantization granularities, and shapes with odd H/W and C % 8 != 0.
- * The fully integer path (forwardInt8) must match
- * IntWinogradConv::forwardInt8Reference bit for bit — integer sums
+ * against the tile-at-a-time IntWinogradConv oracle, across variants,
+ * bit widths, quantization granularities, and shapes with odd H/W and
+ * C % 8 != 0. The fully integer path (forwardInt8) must match
+ * IntWinogradConv::forwardInt8 bit for bit — integer sums
  * are order-free, so the blocked re-layout cannot change a single
  * value. The FP dequant path runs the vectorized blocked form (FMA
  * Kronecker row passes), so like the FP blocked pipeline it is
@@ -12,7 +12,8 @@
  * layout kernels (tap GEMM, integer kron, requantization narrowing)
  * against their scalar references, and sharded == serial bit-identity
  * for the blocked int8 chunk walk. The two largest cases span several
- * chunks with chunk edges inside images.
+ * chunks with chunk edges inside images. The blocked engine owns what
+ * it runs, so it keeps working after its source conv is destroyed.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "common/rng.hh"
@@ -125,8 +127,7 @@ TEST_P(BlockedIntWino, ForwardInt8BitIdenticalToReference)
     for (const bool relu : {false, true}) {
         double s_blk = 0.0, s_ref = 0.0;
         const TensorI8 blocked = blk.forwardInt8(xb, &s_blk, relu);
-        const TensorI8 ref =
-            conv.forwardInt8Reference(x, &s_ref, relu);
+        const TensorI8 ref = conv.forwardInt8(x, &s_ref, relu);
         EXPECT_EQ(s_blk, s_ref);
         TensorI8 out(ref.shape());
         blockedToNchw(blocked, out);
@@ -134,6 +135,42 @@ TEST_P(BlockedIntWino, ForwardInt8BitIdenticalToReference)
             ASSERT_EQ(out[i], ref[i])
                 << "element " << i << " relu=" << relu;
     }
+}
+
+TEST_P(BlockedIntWino, OutlivesItsSourceConv)
+{
+    const Case &c = GetParam();
+    const IntWinogradConfig cfg = makeConfig();
+    const TensorD w = randomTensor({c.cout, c.input[1], 3, 3}, 5000);
+    const std::vector<TensorD> cal{randomTensor(c.input, 5001)};
+    // Calibration is deterministic, so a second conv built from the
+    // same data is an identical oracle that outlives the source.
+    const IntWinogradConv oracle(w, cal, cfg);
+    std::unique_ptr<BlockedIntWinograd> blk;
+    {
+        const IntWinogradConv source(w, cal, cfg);
+        blk = std::make_unique<BlockedIntWinograd>(source);
+    }
+
+    const TensorD x = randomTensor(c.input, 5002);
+    TensorD xb(blockedShape(x.shape()));
+    nchwToBlocked(x, xb);
+    const TensorD ref = oracle.forward(x);
+    TensorD out(ref.shape());
+    blockedToNchw(blk->forward(xb), out);
+    for (std::size_t i = 0; i < ref.numel(); ++i)
+        ASSERT_NEAR(out[i], ref[i], 1e-9 * (std::abs(ref[i]) + 1.0))
+            << "element " << i;
+
+    if (!c.pow2)
+        return; // forwardInt8 requires power-of-two scales
+    double s_blk = 0.0, s_ref = 0.0;
+    const TensorI8 ref8 = oracle.forwardInt8(x, &s_ref);
+    TensorI8 out8(ref8.shape());
+    blockedToNchw(blk->forwardInt8(xb, &s_blk), out8);
+    EXPECT_EQ(s_blk, s_ref);
+    for (std::size_t i = 0; i < ref8.numel(); ++i)
+        ASSERT_EQ(out8[i], ref8[i]) << "element " << i;
 }
 
 TEST_P(BlockedIntWino, ReusedBuffersAreStableAcrossBatchChanges)

@@ -2,8 +2,8 @@
  * @file
  * Epilogue-fusion tests: the dataflow planner, session-level fused
  * execution against the unfused separate-pass baseline (bit-identical
- * on every engine and layout), the int8 requantize-to-u8 epilogue, and
- * the satellite GEMM/quantize fast paths the fused engines ride on.
+ * on every engine and layout), and the satellite GEMM/quantize fast
+ * paths the fused engines ride on.
  */
 
 #include <gtest/gtest.h>
@@ -180,64 +180,6 @@ TEST(FusionSession, AutoSelectRespectsFusedEpilogues)
     ASSERT_EQ(y.shape(), ref.shape());
     for (std::size_t i = 0; i < y.numel(); ++i)
         EXPECT_NEAR(y[i], ref[i], 1e-6);
-}
-
-/**
- * The int8 requantize-to-u8 epilogue: the fused dequant loop emits a
- * biased/clamped u8 surface that must match a separate
- * clamp(round(y / scale), 0, 255) pass over the layer's double output.
- */
-TEST(RequantEpilogue, FusedU8MatchesSeparatePass)
-{
-    ConvLayerDesc desc;
-    desc.name = "rq";
-    desc.cin = 6;
-    desc.cout = 10;
-    desc.kernel = 3;
-    desc.stride = 1;
-    desc.height = 9;
-    desc.width = 7;
-
-    const EngineRegistry &registry = EngineRegistry::instance();
-    std::shared_ptr<const ConvBackend> backend =
-        registry.get(ConvEngine::Im2colInt8);
-
-    const TensorD weights = randomInput(
-        {desc.cout, desc.cin, desc.kernel, desc.kernel}, 21);
-    std::vector<TensorD> calibration;
-    calibration.push_back(
-        randomInput({2, desc.cin, desc.height, desc.width}, 22));
-
-    LayerBuild build;
-    build.params = ConvParams{desc.kernel, desc.stride, 1};
-    build.calibration = &calibration;
-    build.epilogue.bias.assign(desc.cout, 0.0);
-    Rng biasRng(23);
-    biasRng.fillNormal(build.epilogue.bias, 0.0, 0.1);
-    build.epilogue.relu = true;
-    build.epilogue.requantScale = 1.0 / 64.0;
-
-    const auto prep = backend->prepare(desc, weights, build);
-    const TensorD input =
-        randomInput({1, desc.cin, desc.height, desc.width}, 24);
-    ScratchArena scratch;
-    const Shape oshape = backend->outputShape(*prep, input.shape());
-    TensorD out(oshape);
-    backend->run(*prep, input, scratch, out, RunContext{});
-
-    // `out` already carries the biased+clamped epilogue result, so
-    // the separate-pass u8 reference is one rounding away.
-    const TensorI8 &rq = scratch.tensorI8(
-        ScratchArena::resolve("im8.requant:" + desc.name), oshape);
-    const auto *u8 = reinterpret_cast<const std::uint8_t *>(rq.data());
-    for (std::size_t i = 0; i < out.numel(); ++i) {
-        double q =
-            std::nearbyint(out[i] / build.epilogue.requantScale);
-        q = std::min(255.0, std::max(0.0, q));
-        ASSERT_EQ(static_cast<double>(u8[i]), q)
-            << "requantized u8 diverges from the separate pass at "
-            << i;
-    }
 }
 
 TEST(FusionSession, Int8CalibrationSeesPostOps)
